@@ -372,7 +372,7 @@ def main(argv=None) -> int:
     except InsufficientDigitsError as exc:
         print(f"cusplab: insufficient digits: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except NumericError as exc:
+    except (NumericError, ArithmeticError) as exc:
         print(f"cusplab: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ValueError, TypeError, OSError) as exc:

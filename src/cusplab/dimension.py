@@ -2,10 +2,11 @@
 
 Three routes are implemented and cross-checked against each other:
 
-* ``crude_critical_exponent`` solves sum_{a >= N} (a + shift)^{-2s} = 1, the
-  critical exponents of the elementary cover sums.  With shift = 1 and 0 they
-  bracket the true dimension of the digit set {a >= N}: the transfer operator
-  satisfies sum (a+1)^{-2s} <= (L_s 1)(x) <= sum a^{-2s} pointwise, so its
+* ``crude_critical_exponent`` solves zeta(2s, N + shift) = 1, i.e.
+  sum_{a >= N} (a + shift)^{-2s} = 1, the critical exponents of the
+  elementary cover sums.  With shift = 1 and 0 they bracket the true
+  dimension of the digit set {a >= N}: the transfer operator satisfies
+  sum (a+1)^{-2s} <= (L_s 1)(x) <= sum a^{-2s} pointwise, so its
   unit-eigenvalue root is pinned between the two roots.
 * ``transfer_dimension`` solves lambda(s) = 1 for the leading eigenvalue of
   the Gauss-map transfer operator (L_s f)(x) = sum_a (a+x)^{-2s} f(1/(a+x)),
@@ -17,6 +18,13 @@ Three routes are implemented and cross-checked against each other:
   discretization on a uniform grid (bin-center collocation).  Digit ranges
   are aggregated per bin by exact Hurwitz zeta differences, which again keeps
   the full infinite tail.  Used purely as an independent oracle.
+
+Both discretizations find the root of lambda(s) = 1 with Brent's method
+(``numerics.bracketed_root``), inside the crude bracket for {a >= N}, N >= 2,
+and inside a fixed bracket otherwise, as the sign change of the pressure
+log lambda(s).  Each trial s costs one operator assembly and one power
+iteration; a solve takes about 4-10 of them.  The reported residual
+|lambda(root) - 1| comes from the evaluation at the root.
 
 Gap constants enter the underlying cover sums only as fixed per-level
 factors; their k-th roots tend to 1, so they cannot move critical exponents
@@ -62,19 +70,6 @@ class DigitAlphabet:
 # crude critical exponents
 # ---------------------------------------------------------------------------
 
-def _tail_sum(s2, m):
-    """sum_{a >= m} a^{-s2}: explicit terms up to m + 20000, then the
-    Euler-Maclaurin tail integral + f(cut)/2 - f'(cut)/12, leaving a residual
-    of order cut^{-s2-3}."""
-    cut = m + 20_000
-    a = np.arange(m, cut, dtype=float)
-    partial = float(np.sum(a ** (-s2)))
-    tail = (cut ** (1.0 - s2) / (s2 - 1.0)
-            + 0.5 * cut ** (-s2)
-            + (s2 / 12.0) * cut ** (-s2 - 1.0))
-    return partial + tail
-
-
 def crude_critical_exponent(n, shift, tol=1e-10):
     """The unique s > 1/2 with sum_{a >= n} (a + shift)^{-2s} = 1.
 
@@ -90,7 +85,7 @@ def crude_critical_exponent(n, shift, tol=1e-10):
         raise ValueError("no root: the full-alphabet sum always exceeds 1")
 
     def f(s):
-        return _tail_sum(2.0 * s, m) - 1.0
+        return float(hurwitz_zeta(2.0 * s, m)) - 1.0
 
     lo, hi = 0.5 + 1e-9, 4.0
     return bracketed_root(f, lo, hi, xtol=tol)
@@ -115,14 +110,15 @@ def _bary_weights(k):
 
 def _basis_at(nodes, bw, u):
     """Lagrange basis values l_j(u) for a flat array of evaluation points."""
-    diff = u[:, None] - nodes[None, :]
-    hit = diff == 0.0
+    vals = u[:, None] - nodes[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
-        tmp = bw[None, :] / diff
-        vals = tmp / tmp.sum(axis=1, keepdims=True)
-    rows = hit.any(axis=1)
+        np.divide(bw[None, :], vals, out=vals)
+        total = vals.sum(axis=1, keepdims=True)
+        vals /= total
+    # a point on a node divides by zero, which leaves its row sum non-finite
+    rows = ~np.isfinite(total[:, 0])
     if rows.any():
-        vals[rows] = hit[rows].astype(float)
+        vals[rows] = u[rows, None] == nodes[None, :]
     return vals
 
 
@@ -204,29 +200,41 @@ class _UlamOperator:
                 64, int(2.5 * math.sqrt(alphabet.lower * bins)))
         else:
             self.direct_hi = alphabet.upper
+        # Target cells (row * bins + bin) and log(a + x) of the direct digits
+        # do not depend on s: matrix(s) scatters them in one pass instead of
+        # a pass per digit.
+        a = np.arange(alphabet.lower, self.direct_hi + 1, dtype=float)
+        ax = a[:, None] + self.x[None, :]
+        cell = (1.0 / (ax * self.w)).astype(np.intp)
+        np.minimum(cell, bins - 1, out=cell)
+        cell += bins * np.arange(bins)
+        self.direct_log = np.log(ax, out=ax).ravel()
+        if alphabet.infinite:
+            self.direct_cell = cell.ravel()
+        else:
+            # CSR layout of the occupied cells; each direct weight is summed
+            # into the slot of its cell
+            cells, self.finite_slot = np.unique(cell.ravel(), return_inverse=True)
+            rows, self.finite_cols = np.divmod(cells, bins)
+            self.finite_indptr = np.searchsorted(rows, np.arange(bins + 1))
+
+    def _direct_weights(self, s):
+        """(a + x)^{-2s} for every direct digit (outer) and bin (inner)."""
+        weights = np.multiply(self.direct_log, -2.0 * s)
+        return np.exp(weights, out=weights)
 
     def _finite_matrix(self, s):
-        b, w, x = self.bins, self.w, self.x
-        rows = np.arange(b)
-        row_idx, col_idx, data = [], [], []
-        for a in range(self.alphabet.lower, self.alphabet.upper + 1):
-            kidx = np.minimum((1.0 / ((a + x) * w)).astype(np.int64), b - 1)
-            row_idx.append(rows)
-            col_idx.append(kidx)
-            data.append((a + x) ** (-2.0 * s))
-        return sparse.coo_matrix(
-            (np.concatenate(data), (np.concatenate(row_idx), np.concatenate(col_idx))),
-            shape=(b, b)).tocsr()
+        data = np.bincount(self.finite_slot, self._direct_weights(s),
+                           minlength=len(self.finite_cols))
+        return sparse.csr_matrix((data, self.finite_cols, self.finite_indptr),
+                                 shape=(self.bins, self.bins))
 
     def matrix(self, s):
         if not self.alphabet.infinite:
             return self._finite_matrix(s)
         b, w, x = self.bins, self.w, self.x
-        rows = np.arange(b)
-        mat = np.zeros((b, b))
-        for a in range(self.alphabet.lower, self.direct_hi + 1):
-            kidx = np.minimum((1.0 / ((a + x) * w)).astype(np.int64), b - 1)
-            mat[rows, kidx] += (a + x) ** (-2.0 * s)  # one entry per row: no clashes
+        mat = np.bincount(self.direct_cell, self._direct_weights(s),
+                          minlength=b * b).reshape(b, b)
         zeta_lo = self.direct_hi + 1
         a_lo0 = np.maximum(np.floor(1.0 / w - x) + 1.0, zeta_lo)
         mat[:, 0] += hurwitz_zeta(2.0 * s, a_lo0 + x)
@@ -258,20 +266,36 @@ class DimensionEstimate:
     bracket_hi: float | None = None
 
 
-def _pressure_root(op, alphabet, tol, power_tol):
+def _crude_bracket(alphabet, tol):
+    """The crude exponents (shift 1, shift 0) for {a >= N}, N >= 2, else None.
+
+    They bracket the pressure root rigorously, since sum (a+1)^{-2s} <=
+    (L_s 1)(x) <= sum a^{-2s} pointwise.  They are solved to at least 1e-10
+    so that the 1e-9 margin the root search adds keeps the bracket valid.
+    """
+    if not (alphabet.infinite and alphabet.lower >= 2):
+        return None
+    tol = min(tol, 1e-10)
+    return (crude_critical_exponent(alphabet.lower, 1, tol),
+            crude_critical_exponent(alphabet.lower, 0, tol))
+
+
+def _pressure_root(op, crude, tol, power_tol):
+    """(root, |lambda(root) - 1|) of the operator's leading eigenvalue."""
     state = {"v": None}
+    lams = {}
 
     def f(s):
         lam, vec, _ = power_iteration(op.matrix(s), tol=power_tol, v0=state["v"])
         state["v"] = vec
-        return lam - 1.0
+        lams[s] = lam
+        # the pressure log(lambda) has the sign of lambda - 1 and is convex
+        # and nearly linear in s, so interpolation steps converge fast
+        return math.log(lam)
 
-    if alphabet.infinite and alphabet.lower >= 2:
-        # The crude cover-sum roots bracket the pressure root rigorously:
-        # sum (a+1)^{-2s} <= (L_s 1)(x) <= sum a^{-2s} pointwise.
-        lo = crude_critical_exponent(alphabet.lower, 1) - 1e-9
-        hi = crude_critical_exponent(alphabet.lower, 0) + 1e-9
-    elif alphabet.infinite:
+    if crude is not None:
+        lo, hi = crude[0] - 1e-9, crude[1] + 1e-9
+    elif op.alphabet.infinite:
         lo, hi = 0.5 + 1e-9, 2.0
     else:
         lo, hi = -1.0, 2.0
@@ -286,7 +310,7 @@ def _pressure_root(op, alphabet, tol, power_tol):
             f"pressure root not bracketed on [{lo}, {hi}]: f(lo)={f_lo}, f(hi)={f_hi}"
         )
     root = bracketed_root(f, lo, hi, xtol=tol, flo=f_lo, fhi=f_hi)
-    return root, abs(f(root))
+    return root, abs(lams[root] - 1.0)
 
 
 def transfer_dimension(alphabet: DigitAlphabet, nodes=20, tol=1e-10,
@@ -294,11 +318,9 @@ def transfer_dimension(alphabet: DigitAlphabet, nodes=20, tol=1e-10,
     """Dimension of the digit-restricted set via collocation of the transfer
     operator; for infinite ranges the crude-exponent bracket is attached."""
     op = _CollocationOperator(alphabet, nodes, m_eff)
-    root, residual = _pressure_root(op, alphabet, tol, power_tol)
-    lo = hi = None
-    if alphabet.infinite and alphabet.lower >= 2:
-        lo = crude_critical_exponent(alphabet.lower, 1, tol)
-        hi = crude_critical_exponent(alphabet.lower, 0, tol)
+    crude = _crude_bracket(alphabet, tol)
+    root, residual = _pressure_root(op, crude, tol, power_tol)
+    lo, hi = crude or (None, None)
     return DimensionEstimate(root, residual, "collocation", lo, hi)
 
 
@@ -306,14 +328,14 @@ def ulam_dimension(alphabet: DigitAlphabet, bins=4096, tol=1e-8,
                    power_tol=1e-12) -> DimensionEstimate:
     """Independent piecewise-constant estimate of the same pressure root."""
     op = _UlamOperator(alphabet, bins)
-    root, residual = _pressure_root(op, alphabet, tol, power_tol)
+    crude = _crude_bracket(alphabet, tol)
+    root, residual = _pressure_root(op, crude, tol, power_tol)
     return DimensionEstimate(root, residual, "ulam")
 
 
-def good_dimension_sweep(n_list, kappa=None, nodes=20, tol=1e-9):
+def good_dimension_sweep(n_list, nodes=20, tol=1e-9):
     """Rows (N, bracket_lo, bracket_hi, dim_estimate, residual) for the sets
-    with all digits >= N.  ``kappa`` is accepted for interface parity but the
-    Ford-circle gap bound makes the result independent of it."""
+    with all digits >= N."""
     rows = []
     for n in n_list:
         if n < 2:

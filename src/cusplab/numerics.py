@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 
+_EPS = float(np.finfo(float).eps)
+
 
 class NumericError(RuntimeError):
     """A numerical routine failed to converge; the message carries diagnostics."""
@@ -16,11 +18,16 @@ class InsufficientDigitsError(ValueError):
 
 
 def bracketed_root(f, lo, hi, xtol=1e-10, max_iter=300, flo=None, fhi=None):
-    """Root of f in [lo, hi] via the Illinois variant of false position.
+    """Root of f in [lo, hi] by Brent's method (Brent 1973, "zeroin").
 
-    The bracket must be sign-changing.  Every fifth step is forced to plain
-    bisection so the bracket width shrinks geometrically no matter how the
-    secant steps behave.  Pass flo/fhi to reuse endpoint evaluations.
+    The bracket must be sign-changing, else ValueError.  Each step takes an
+    inverse quadratic or secant step when it lands well inside the current
+    bracket and shrinks it fast enough, and bisects otherwise, so slow
+    interpolation cannot stall it.  The result is the evaluated point
+    with the smallest |f| of the final bracket, which is at most ``xtol``
+    wide: it lies in [lo, hi] and within ``xtol`` of a sign change.  Pass
+    flo/fhi to reuse endpoint evaluations.  Raises NumericError if
+    ``max_iter`` steps do not get there.
     """
     fa = f(lo) if flo is None else flo
     fb = f(hi) if fhi is None else fhi
@@ -30,26 +37,46 @@ def bracketed_root(f, lo, hi, xtol=1e-10, max_iter=300, flo=None, fhi=None):
         return hi
     if fa * fb > 0:
         raise ValueError(f"root not bracketed: f({lo})={fa}, f({hi})={fb}")
+    # b is the best point so far, a the previous one, and c the point that
+    # keeps the sign change: the root stays between b and c.
     a, b = lo, hi
-    for it in range(max_iter):
-        if abs(b - a) <= xtol:
-            break
-        if it % 5 == 4:
-            c = 0.5 * (a + b)
+    c, fc = a, fa
+    d = e = b - a
+    for _ in range(max_iter):
+        if fb * fc > 0:
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, fa, b, fb, c, fc = b, fb, c, fc, b, fb
+        tol1 = max(0.5 * xtol, 2.0 * _EPS * abs(b))
+        m = 0.5 * (c - b)
+        if abs(m) <= tol1 or fb == 0.0:
+            return b
+        if abs(e) >= tol1 and abs(fa) > abs(fb):
+            t = fb / fa
+            if a == c:  # secant
+                p, q = 2.0 * m * t, 1.0 - t
+            else:  # inverse quadratic interpolation
+                q, r = fa / fc, fb / fc
+                p = t * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (t - 1.0)
+            if p > 0:
+                q = -q
+            else:
+                p = -p
+            if 2.0 * p < min(3.0 * m * q - abs(tol1 * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
         else:
-            c = (a * fb - b * fa) / (fb - fa)
-            width = abs(b - a)
-            if not (min(a, b) + 1e-3 * width < c < max(a, b) - 1e-3 * width):
-                c = 0.5 * (a + b)
-        fc = f(c)
-        if fc == 0.0:
-            return c
-        if fa * fc < 0:
-            b, fb = c, fc
-        else:
-            a, fa = c, fc
-            fb *= 0.5  # Illinois trick: keeps the stale endpoint from pinning
-    return 0.5 * (a + b)
+            d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol1 else math.copysign(tol1, m)
+        fb = f(b)
+    raise NumericError(
+        f"root finder did not converge in {max_iter} steps on [{lo}, {hi}] "
+        f"(best point {b!r}, f={fb!r})"
+    )
 
 
 def power_iteration(mat, tol=1e-12, max_iter=200_000, v0=None):

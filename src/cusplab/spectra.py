@@ -116,7 +116,9 @@ def spectrum_table(delta, grid):
     lo = 2.0 * delta - 1.0
     rows = []
     for j in range(grid):
-        beta = lo + (delta - lo) * j / (grid - 1)
+        # the last point is delta itself: the interpolation formula can round
+        # one ulp above delta, outside the spectra's domain
+        beta = delta if j == grid - 1 else lo + (delta - lo) * j / (grid - 1)
         rows.append((beta, strict_spectrum(beta, delta), stratmann_spectrum(beta, delta)))
     return rows
 

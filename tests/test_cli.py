@@ -100,6 +100,13 @@ def test_excursions_insufficient_digits():
     assert main(["excursions", "1,2,3", "--horizon", "10"]) == 3
 
 
+def test_excursions_digit_beyond_float_range_exit_code():
+    proc = run_cli("excursions", f"{2 ** 1030},1,1,1,1,1,1", "--horizon", "5")
+    assert proc.returncode == 4
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+
+
 def test_dim_fn_row(capsys):
     assert main(["dim-fn", "2", "--nodes", "14", "--tol", "1e-8"]) == 0
     _, rows = parse_csv(capsys.readouterr().out)
@@ -139,6 +146,14 @@ def test_spectrum_values(capsys):
     assert float(rows[-1][1]) == pytest.approx(0.5)
     for r in rows:
         assert float(r[2]) >= float(r[1]) - 1e-14
+
+
+def test_spectrum_grid_end_rounding(capsys):
+    # lo + (delta - lo) * 200/200 rounds above 0.644: the table must end at delta
+    assert main(["spectrum", "0.644", "--grid", "201"]) == 0
+    _, rows = parse_csv(capsys.readouterr().out)
+    assert len(rows) == 201
+    assert float(rows[-1][0]) == 0.644
 
 
 def test_spectrum_degenerate_exit():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import zeta as hurwitz_zeta
 
+import cusplab.dimension as dimension_module
 from cusplab.dimension import (
     DigitAlphabet,
     _CollocationOperator,
@@ -16,6 +17,28 @@ from cusplab.numerics import power_iteration
 
 
 # -- crude exponents -----------------------------------------------------------
+
+def tail_sum_oracle(s2, m):
+    """sum_{a >= m} a^{-s2}: explicit terms up to m + 20000, then the
+    Euler-Maclaurin tail integral + f(cut)/2 - f'(cut)/12, leaving a residual
+    of order cut^{-s2-3}."""
+    cut = m + 20_000
+    a = np.arange(m, cut, dtype=float)
+    partial = float(np.sum(a ** (-s2)))
+    tail = (cut ** (1.0 - s2) / (s2 - 1.0)
+            + 0.5 * cut ** (-s2)
+            + (s2 / 12.0) * cut ** (-s2 - 1.0))
+    return partial + tail
+
+
+def test_hurwitz_tail_matches_explicit_sum():
+    # the crude exponents sum the cover series with Hurwitz zeta; an explicit
+    # sum with an Euler-Maclaurin tail must agree over the whole search range
+    for m in (2, 3, 11, 101, 1001):
+        for s in (0.5 + 1e-9, 0.5 + 1e-6, 0.55, 0.7, 0.9, 1.5, 4.0):
+            exact = hurwitz_zeta(2 * s, m)
+            assert tail_sum_oracle(2 * s, m) == pytest.approx(exact, rel=1e-12)
+
 
 def test_crude_matches_hurwitz_oracle():
     # independent oracle: bisect zeta(2s, n+shift) = 1 with scipy's Hurwitz zeta
@@ -80,6 +103,34 @@ def test_ulam_rowsum_identity():
             assert np.max(np.abs(rowsum - exact)) < 1e-12
 
 
+def ulam_direct_oracle(op, s):
+    """The direct-digit part of the Ulam matrix, one digit at a time."""
+    b, w, x = op.bins, op.w, op.x
+    rows = np.arange(b)
+    mat = np.zeros((b, b))
+    for a in range(op.alphabet.lower, op.direct_hi + 1):
+        kidx = np.minimum((1.0 / ((a + x) * w)).astype(np.int64), b - 1)
+        mat[rows, kidx] += (a + x) ** (-2.0 * s)  # one entry per row: no clashes
+    return mat
+
+
+@pytest.mark.parametrize("alphabet, bins", [
+    (DigitAlphabet(2, None), 128), (DigitAlphabet(13, None), 256),
+    (DigitAlphabet(1, 61), 256), (DigitAlphabet(3, 40), 128)])
+def test_ulam_direct_digits_match_loop(monkeypatch, alphabet, bins):
+    # with the zeta tail switched off, matrix(s) is the direct-digit scatter
+    monkeypatch.setattr(dimension_module, "hurwitz_zeta", lambda s2, q: 0.0 * q)
+    op = _UlamOperator(alphabet, bins)
+    for s in (-0.5, 0.6, 0.95):
+        if alphabet.infinite and s < 0.5:
+            continue
+        mat = op.matrix(s)
+        mat = mat if alphabet.infinite else mat.toarray()
+        ref = ulam_direct_oracle(op, s)
+        assert np.array_equal(mat != 0.0, ref != 0.0)
+        assert np.allclose(mat, ref, rtol=1e-13, atol=0.0)
+
+
 def test_ulam_finite_rowsum():
     op = _UlamOperator(DigitAlphabet(3, 40), 128)
     rowsum = op.matrix(0.9) @ np.ones(128)
@@ -105,8 +156,9 @@ def test_singleton_dimension_zero():
 
 
 def test_two_digit_set_dimension():
+    # published value: Jenkinson-Pollicott 2018, Hensley 1996
     est = transfer_dimension(DigitAlphabet(1, 2), nodes=24)
-    assert est.dim == pytest.approx(0.531280, abs=2e-6)
+    assert est.dim == pytest.approx(0.53128050627720514, abs=1e-12)
     assert abs(est.dim - ulam_dimension(DigitAlphabet(1, 2), bins=4096).dim) < 1e-4
     assert abs(est.dim - ulam_dimension(DigitAlphabet(1, 2), bins=8192).dim) < 1e-6
 
@@ -154,6 +206,28 @@ def test_ulam_agreement_shifted_range():
 
 def test_ulam_singleton():
     assert abs(ulam_dimension(DigitAlphabet(1, 1), bins=256).dim) < 1e-4
+
+
+@pytest.mark.parametrize("alphabet", [DigitAlphabet(1, 2), DigitAlphabet(20, None)])
+def test_pressure_root_assembly_budget(monkeypatch, alphabet):
+    calls = []
+
+    def counting(mat, **kwargs):
+        calls.append(mat.shape)
+        return power_iteration(mat, **kwargs)
+
+    monkeypatch.setattr(dimension_module, "power_iteration", counting)
+    est = transfer_dimension(alphabet)
+    assert est.residual < 1e-8
+    assert len(calls) <= 10
+
+
+def test_residual_is_lambda_at_the_returned_root():
+    for alphabet in (DigitAlphabet(1, 2), DigitAlphabet(7, None)):
+        est = transfer_dimension(alphabet, nodes=16)
+        op = _CollocationOperator(alphabet, 16)
+        lam, _, _ = power_iteration(op.matrix(est.dim), tol=1e-12)
+        assert est.residual == pytest.approx(abs(lam - 1.0), abs=1e-11)
 
 
 def test_good_dimension_sweep_rows():

@@ -118,6 +118,16 @@ def test_spectrum_table_endpoints_and_affinity():
     assert np.max(np.abs(np.diff(strat, 2))) < 1e-12
 
 
+@pytest.mark.parametrize("delta", [0.551, 0.5617, 0.644, 0.6783, 0.8])
+def test_spectrum_table_ends_exactly_at_delta(delta):
+    # for all but 0.8 the interpolated last point lo + (delta - lo) * 200/200
+    # rounds one ulp above delta, outside the domain the spectra accept
+    rows = spectrum_table(delta, 201)
+    assert rows[-1][0] == delta
+    assert rows[-1][1] == pytest.approx(0.5, abs=1e-14)
+    assert rows[-1][2] == pytest.approx(delta, abs=1e-14)
+
+
 def test_spectrum_monotone():
     for delta in (0.6, 0.85):
         rows = spectrum_table(delta, 64)
