@@ -182,6 +182,9 @@ class _CollocationOperator:
 # piecewise-constant (Ulam-type) discretization
 # ---------------------------------------------------------------------------
 
+_SCATTER_BLOCK = 1 << 18  # (digit, bin) pairs per block of the Ulam scatter
+
+
 class _UlamOperator:
     def __init__(self, alphabet: DigitAlphabet, bins: int):
         if bins < 64:
@@ -200,41 +203,31 @@ class _UlamOperator:
                 64, int(2.5 * math.sqrt(alphabet.lower * bins)))
         else:
             self.direct_hi = alphabet.upper
-        # Target cells (row * bins + bin) and log(a + x) of the direct digits
-        # do not depend on s: matrix(s) scatters them in one pass instead of
-        # a pass per digit.
-        a = np.arange(alphabet.lower, self.direct_hi + 1, dtype=float)
-        ax = a[:, None] + self.x[None, :]
-        cell = (1.0 / (ax * self.w)).astype(np.intp)
-        np.minimum(cell, bins - 1, out=cell)
-        cell += bins * np.arange(bins)
-        self.direct_log = np.log(ax, out=ax).ravel()
-        if alphabet.infinite:
-            self.direct_cell = cell.ravel()
-        else:
-            # CSR layout of the occupied cells; each direct weight is summed
-            # into the slot of its cell
-            cells, self.finite_slot = np.unique(cell.ravel(), return_inverse=True)
-            rows, self.finite_cols = np.divmod(cells, bins)
-            self.finite_indptr = np.searchsorted(rows, np.arange(bins + 1))
 
-    def _direct_weights(self, s):
-        """(a + x)^{-2s} for every direct digit (outer) and bin (inner)."""
-        weights = np.multiply(self.direct_log, -2.0 * s)
-        return np.exp(weights, out=weights)
-
-    def _finite_matrix(self, s):
-        data = np.bincount(self.finite_slot, self._direct_weights(s),
-                           minlength=len(self.finite_cols))
-        return sparse.csr_matrix((data, self.finite_cols, self.finite_indptr),
-                                 shape=(self.bins, self.bins))
+    def _direct_blocks(self, s):
+        """Target columns and weights (a + x)^{-2s} of the direct digits as
+        (bins, digits) arrays, one block of digits at a time, so that memory
+        stays O(_SCATTER_BLOCK) however many digits are direct."""
+        b = self.bins
+        step = max(1, _SCATTER_BLOCK // b)
+        for start in range(self.alphabet.lower, self.direct_hi + 1, step):
+            a = np.arange(start, min(start + step, self.direct_hi + 1), dtype=float)
+            ax = self.x[:, None] + a[None, :]
+            col = np.minimum((1.0 / (ax * self.w)).astype(np.intp), b - 1)
+            yield col, ax ** (-2.0 * s)
 
     def matrix(self, s):
-        if not self.alphabet.infinite:
-            return self._finite_matrix(s)
         b, w, x = self.bins, self.w, self.x
-        mat = np.bincount(self.direct_cell, self._direct_weights(s),
-                          minlength=b * b).reshape(b, b)
+        if not self.alphabet.infinite:
+            parts = [sparse.csr_matrix(
+                (wgt.ravel(), (np.repeat(np.arange(b), col.shape[1]), col.ravel())),
+                shape=(b, b)) for col, wgt in self._direct_blocks(s)]
+            return sum(parts[1:], parts[0])
+        mat = np.zeros((b, b))
+        row_start = b * np.arange(b)[:, None]
+        for col, wgt in self._direct_blocks(s):
+            # unbuffered, in digit order per cell, as a loop over digits would add
+            np.add.at(mat.ravel(), (col + row_start).ravel(), wgt.ravel())
         zeta_lo = self.direct_hi + 1
         a_lo0 = np.maximum(np.floor(1.0 / w - x) + 1.0, zeta_lo)
         mat[:, 0] += hurwitz_zeta(2.0 * s, a_lo0 + x)

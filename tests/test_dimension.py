@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import zeta as hurwitz_zeta
@@ -7,6 +9,9 @@ from cusplab.dimension import (
     DigitAlphabet,
     _CollocationOperator,
     _UlamOperator,
+    _bary_weights,
+    _basis_at,
+    _lobatto_nodes,
     crude_critical_exponent,
     good_dimension_sweep,
     jarnik_dimension,
@@ -94,6 +99,25 @@ def test_collocation_rowsum_identity():
             assert np.max(np.abs(rowsum - exact)) < 1e-12
 
 
+def basis_oracle(nodes, bw, u):
+    """Barycentric Lagrange basis with separate temporaries, nodes hit exactly."""
+    diff = u[:, None] - nodes[None, :]
+    hit = diff == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tmp = bw[None, :] / diff
+        vals = tmp / tmp.sum(axis=1, keepdims=True)
+    rows = hit.any(axis=1)
+    vals[rows] = hit[rows].astype(float)
+    return vals
+
+
+def test_basis_at_matches_oracle():
+    nodes, bw = _lobatto_nodes(20, 0.5), _bary_weights(20)
+    u = np.concatenate([np.random.default_rng(3).uniform(0.0, 0.5, 500), nodes,
+                        1.0 / (np.arange(2.0, 40.0)[:, None] + nodes).ravel()])
+    assert np.array_equal(_basis_at(nodes, bw, u), basis_oracle(nodes, bw, u))
+
+
 def test_ulam_rowsum_identity():
     for lower in (2, 9):
         op = _UlamOperator(DigitAlphabet(lower, None), 256)
@@ -125,10 +149,44 @@ def test_ulam_direct_digits_match_loop(monkeypatch, alphabet, bins):
         if alphabet.infinite and s < 0.5:
             continue
         mat = op.matrix(s)
-        mat = mat if alphabet.infinite else mat.toarray()
         ref = ulam_direct_oracle(op, s)
+        if alphabet.infinite:
+            # the same terms, summed per cell in the same digit order
+            assert np.array_equal(mat, ref)
+            continue
+        # the sparse build sums a cell's terms in its own order
+        mat = mat.toarray()
         assert np.array_equal(mat != 0.0, ref != 0.0)
         assert np.allclose(mat, ref, rtol=1e-13, atol=0.0)
+
+
+def test_ulam_direct_digits_match_loop_across_blocks(monkeypatch):
+    # blocks of one digit: every cell is summed over several blocks
+    monkeypatch.setattr(dimension_module, "hurwitz_zeta", lambda s2, q: 0.0 * q)
+    monkeypatch.setattr(dimension_module, "_SCATTER_BLOCK", 1)
+    for alphabet in (DigitAlphabet(5, None), DigitAlphabet(2, 30)):
+        op = _UlamOperator(alphabet, 128)
+        mat = op.matrix(0.8)
+        mat = mat if alphabet.infinite else mat.toarray()
+        assert np.allclose(mat, ulam_direct_oracle(op, 0.8), rtol=1e-13, atol=0.0)
+
+
+def test_ulam_memory_does_not_grow_with_n():
+    # the operator keeps no per-digit arrays, even at 4096 bins and N = 1e5,
+    # where (digit, bin) pairs would take about 3 GB
+    op = _UlamOperator(DigitAlphabet(100_000, None), 4096)
+    held = sum(v.nbytes for v in vars(op).values() if isinstance(v, np.ndarray))
+    assert held <= 16 * 4096
+    # an assembly with 11,000 direct digits (183 MB of pairs) stays within a
+    # few dense matrices
+    bins = 1024
+    tracemalloc.start()
+    try:
+        _UlamOperator(DigitAlphabet(20_000, None), bins).matrix(0.7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 8 * bins * bins
 
 
 def test_ulam_finite_rowsum():
