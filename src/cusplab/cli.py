@@ -12,12 +12,11 @@ import argparse
 import math
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .config import resolve_config
 from .contfrac import ContinuedFraction, convergents
-from .dimension import DigitAlphabet, transfer_dimension, ulam_dimension
+from .dimension import good_dimension_sweep
 from .excursions import excursion_trace, good_membership, jarnik_ratios
 from .frostman import CylinderMeasure, good_measure, sample_rows
 from .growth import GrowthSequence, seq_omega_rho
@@ -73,25 +72,32 @@ def _parse_kv(body: str) -> dict:
     return out
 
 
+def _require(kv, key):
+    """kv.pop(key), with a missing key reported as a usage error."""
+    if key not in kv:
+        raise ValueError(f"missing key {key!r}")
+    return kv.pop(key)
+
+
 def parse_generator_spec(spec: str) -> "GrowthSequence | None":
     """Growth spec: 'loggeom:alpha=A,base=B' | 'geom:c=C' | 'poly:k=K' |
     'explicit:v1,v2,...'.  Returns a factory closed over n."""
     kind, _, body = spec.strip().partition(":")
     if kind == "loggeom":
         kv = _parse_kv(body)
-        alpha, base = float(kv.pop("alpha")), float(kv.pop("base", "2"))
+        alpha, base = float(_require(kv, "alpha")), float(kv.pop("base", "2"))
         if kv:
             raise ValueError(f"unknown keys {sorted(kv)}")
         return lambda n: GrowthSequence.log_geometric(alpha, n, base=base)
     if kind == "geom":
         kv = _parse_kv(body)
-        c = int(kv.pop("c"))
+        c = int(_require(kv, "c"))
         if kv:
             raise ValueError(f"unknown keys {sorted(kv)}")
         return lambda n: GrowthSequence.geometric(c, n)
     if kind == "poly":
         kv = _parse_kv(body)
-        k = float(kv.pop("k"))
+        k = float(_require(kv, "k"))
         if kv:
             raise ValueError(f"unknown keys {sorted(kv)}")
         return lambda n: GrowthSequence.polynomial(k, n)
@@ -107,18 +113,18 @@ def parse_weights_spec(spec: str):
     kind, _, body = spec.strip().partition(":")
     kv = _parse_kv(body)
     if kind == "good":
-        tau, kappa = int(kv.pop("tau")), float(kv.pop("kappa", "2"))
+        tau, kappa = int(_require(kv, "tau")), float(kv.pop("kappa", "2"))
         if kv:
             raise ValueError(f"unknown keys {sorted(kv)}")
         return good_measure(tau, kappa)
     if kind == "range":
-        lo, hi = int(kv.pop("lo")), int(kv.pop("hi"))
+        lo, hi = int(_require(kv, "lo")), int(_require(kv, "hi"))
         rule = kv.pop("rule", "inverse_successor")
         if kv:
             raise ValueError(f"unknown keys {sorted(kv)}")
         return CylinderMeasure.from_rule(lo, hi, rule)
     if kind == "single":
-        a = int(kv.pop("a"))
+        a = int(_require(kv, "a"))
         if kv:
             raise ValueError(f"unknown keys {sorted(kv)}")
         return CylinderMeasure(a, a, (1.0,))
@@ -176,31 +182,16 @@ def cmd_excursions(args, cfg):
     return table, None
 
 
-def _dim_fn_row(n, cfg, with_ulam):
-    est = transfer_dimension(DigitAlphabet(n, None), nodes=cfg.nodes,
-                             tol=cfg.bisect_tol, power_tol=cfg.power_tol,
-                             m_eff=cfg.m_eff or None)
-    row = [n, est.bracket_lo, est.bracket_hi, est.dim, est.residual]
-    if with_ulam:
-        ul = ulam_dimension(DigitAlphabet(n, None), bins=cfg.ulam_bins,
-                            tol=max(cfg.bisect_tol, 1e-7))
-        row.append(ul.dim)
-    return tuple(row)
-
-
 def cmd_dim_fn(args, cfg):
-    n_list = [int(t) for t in args.N.split(",") if t.strip()]
-    if not n_list:
-        raise ValueError("empty N list")
-    if any(n < 2 for n in n_list):
-        raise ValueError("dimension sweep needs every N >= 2")
+    rows = good_dimension_sweep(
+        [int(t) for t in args.N.split(",") if t.strip()], nodes=cfg.nodes,
+        tol=cfg.bisect_tol, power_tol=cfg.power_tol, m_eff=cfg.m_eff or None,
+        ulam_bins=cfg.ulam_bins if args.ulam else None, threads=cfg.threads)
     cols = ["N", "bracket_lo", "bracket_hi", "dim_estimate", "residual"]
     if args.ulam:
         cols.append("ulam_estimate")
     table = ResultTable(cols, provenance=_provenance(
         cfg, "dim-fn", {"N": args.N, "ulam": bool(args.ulam)}))
-    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        rows = list(pool.map(lambda n: _dim_fn_row(n, cfg, args.ulam), n_list))
     for row in rows:
         table.add(*row)
     svg = None
@@ -268,20 +259,15 @@ def cmd_frostman(args, cfg):
     if args.samples < 1:
         raise ValueError("need a positive sample count")
     measure = parse_weights_spec(args.weights)
-    # Per-sample counter-based streams keyed by (seed, idx); the pool only
-    # partitions the index range, so results match the serial order exactly.
-    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        chunks = list(pool.map(lambda idx: sample_rows(measure, cfg.seed, idx),
-                               range(args.samples)))
     table = ResultTable(["sample", "r", "ball_mass", "log_ratio"],
                         provenance=_provenance(cfg, "frostman",
                                                {"weights": args.weights,
                                                 "samples": args.samples}))
     fitted = math.inf
-    for chunk in chunks:
-        for idx, r, mass, ratio in chunk:
-            table.add(idx, r, mass, ratio)
-            fitted = min(fitted, ratio)
+    for idx in range(args.samples):
+        for row in sample_rows(measure, cfg.seed, idx):
+            table.add(*row)
+            fitted = min(fitted, row[-1])
     table.footer["fitted_exponent"] = fitted
     return table, None
 

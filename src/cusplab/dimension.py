@@ -34,6 +34,7 @@ and are omitted here.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -228,21 +229,17 @@ class _UlamOperator:
         for col, wgt in self._direct_blocks(s):
             # unbuffered, in digit order per cell, as a loop over digits would add
             np.add.at(mat.ravel(), (col + row_start).ravel(), wgt.ravel())
+        # Z_k = sum over tail digits a of (a + x)^{-2s} with 1/(a + x) < k w,
+        # one zeta value per bin boundary k; bin 0 takes Z_1 and bin k the
+        # digits between boundaries k and k + 1, Z_{k+1} - Z_k (exactly 0
+        # where no digit lands, as both boundaries then clamp alike)
         zeta_lo = self.direct_hi + 1
-        a_lo0 = np.maximum(np.floor(1.0 / w - x) + 1.0, zeta_lo)
-        mat[:, 0] += hurwitz_zeta(2.0 * s, a_lo0 + x)
         k_top = min(int(1.0 / (zeta_lo * w)) + 1, b - 1)
-        if k_top >= 1:
-            kv = np.arange(1, k_top + 1, dtype=float)[:, None]
-            a_lo = np.floor(1.0 / ((kv + 1.0) * w) - x[None, :]) + 1.0
-            a_lo = np.maximum(a_lo, zeta_lo)
-            a_hi = np.floor(1.0 / (kv * w) - x[None, :])
-            ok = a_hi >= a_lo
-            xg = np.broadcast_to(x[None, :], a_lo.shape)
-            vals = np.zeros_like(a_lo)
-            vals[ok] = (hurwitz_zeta(2.0 * s, a_lo[ok] + xg[ok])
-                        - hurwitz_zeta(2.0 * s, a_hi[ok] + 1.0 + xg[ok]))
-            mat[:, 1:k_top + 1] += vals.T
+        kv = np.arange(1, k_top + 2, dtype=float)[:, None]
+        a_lo = np.maximum(np.floor(1.0 / (kv * w) - x[None, :]) + 1.0, zeta_lo)
+        z = hurwitz_zeta(2.0 * s, a_lo + x[None, :])
+        mat[:, 0] += z[0]
+        mat[:, 1:k_top + 1] += (z[1:] - z[:-1]).T
         return mat
 
 
@@ -292,12 +289,9 @@ def _pressure_root(op, crude, tol, power_tol):
         lo, hi = 0.5 + 1e-9, 2.0
     else:
         lo, hi = -1.0, 2.0
+    # hi is the rigorous crude exponent, or s = 2, where every sub-alphabet
+    # of the Gauss map has negative pressure: f(hi) > 0 signals a defect
     f_lo, f_hi = f(lo), f(hi)
-    widen = 0
-    while f_hi > 0 and widen < 4:
-        hi *= 1.5
-        f_hi = f(hi)
-        widen += 1
     if f_lo <= 0 or f_hi > 0:
         raise NumericError(
             f"pressure root not bracketed on [{lo}, {hi}]: f(lo)={f_lo}, f(hi)={f_hi}"
@@ -326,16 +320,31 @@ def ulam_dimension(alphabet: DigitAlphabet, bins=4096, tol=1e-8,
     return DimensionEstimate(root, residual, "ulam")
 
 
-def good_dimension_sweep(n_list, nodes=20, tol=1e-9):
+def good_dimension_sweep(n_list, nodes=20, tol=1e-9, power_tol=1e-12, m_eff=None,
+                         ulam_bins=None, threads=1):
     """Rows (N, bracket_lo, bracket_hi, dim_estimate, residual) for the sets
-    with all digits >= N."""
-    rows = []
-    for n in n_list:
-        if n < 2:
-            raise ValueError("dimension sweep needs N >= 2 (bracket undefined at N = 1)")
-        est = transfer_dimension(DigitAlphabet(int(n), None), nodes=nodes, tol=tol)
-        rows.append((int(n), est.bracket_lo, est.bracket_hi, est.dim, est.residual))
-    return rows
+    with all digits >= N, plus ulam_estimate when ``ulam_bins`` is given (its
+    root is solved to max(tol, 1e-7)).  The N are solved on ``threads``
+    worker threads; rows come back in the order of ``n_list``."""
+    n_list = [int(n) for n in n_list]
+    if not n_list:
+        raise ValueError("empty N list")
+    if min(n_list) < 2:
+        raise ValueError("dimension sweep needs every N >= 2 (bracket undefined at N = 1)")
+
+    def row(n):
+        alphabet = DigitAlphabet(n, None)
+        est = transfer_dimension(alphabet, nodes=nodes, tol=tol,
+                                 power_tol=power_tol, m_eff=m_eff)
+        out = (n, est.bracket_lo, est.bracket_hi, est.dim, est.residual)
+        if ulam_bins is None:
+            return out
+        ulam = ulam_dimension(alphabet, bins=ulam_bins, tol=max(tol, 1e-7),
+                              power_tol=power_tol)
+        return out + (ulam.dim,)
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(row, n_list))
 
 
 def jarnik_dimension(theta: float) -> float:

@@ -87,12 +87,17 @@ def good_weight_range(tau, kappa):
         raise ValueError("tau must be >= 1")
     if kappa <= 0:
         raise ValueError("kappa must be positive")
+    ceiling = 10**9
+    # the sum up to tau' is below log((tau' + 1)/tau), so no tau' <= ceiling
+    # gets past e^{kappa/2} >= log((ceiling + 1)/tau): fail before summing
+    if tau > ceiling or 0.5 * kappa >= math.log(math.log((ceiling + 1) / tau)):
+        raise ValueError("kappa too large to normalize")
     target = math.exp(0.5 * kappa)
     total, hi = 0.0, tau - 1
     while total <= target:
         hi += 1
         total += 1.0 / (hi + 1.0)
-        if hi > 10**9:
+        if hi > ceiling:
             raise ValueError("kappa too large to normalize")
     return tau, hi, total
 
@@ -188,8 +193,8 @@ def _resolve_grid(measure, r_grid, depth):
 def sample_rows(measure: CylinderMeasure, seed, idx, r_grid=None, depth=None):
     """Rows (idx, r, mass, log-ratio) for one sampled center.
 
-    The center uses the counter-based stream keyed by (seed, idx), so any
-    partition of the index range over threads reproduces the serial result.
+    The center uses the counter-based stream keyed by (seed, idx), so a
+    sample does not depend on which other samples are drawn.
     """
     r_grid, depth = _resolve_grid(measure, r_grid, depth)
     rng = np.random.Generator(np.random.Philox(key=[seed, idx]))

@@ -126,13 +126,15 @@ def spectrum_table(delta, grid):
 @dataclass(frozen=True)
 class LocalDimensionEstimate:
     beta_seq: list
-    tail_limsup: float
+    tail_liminf: float
 
 
 def local_dim_sequence(trace, delta) -> LocalDimensionEstimate:
     """Per-excursion local dimensions beta_n = delta - (1 - delta) d_n / t_n
-    along a trace, with the tail supremum over the second half as the
-    finite-horizon limsup estimate.
+    along a trace, with the tail infimum over the second half as the
+    finite-horizon liminf estimate.  That liminf is
+    delta - (1 - delta) limsup d_n / t_n = theta_to_beta(theta), the level
+    indexed by the limsup ratio theta of ``jarnik_ratios``.
 
     The unknown comparability constant c of the measure formula only enters
     as c / t_n -> 0, so it is dropped rather than modeled.
@@ -142,8 +144,7 @@ def local_dim_sequence(trace, delta) -> LocalDimensionEstimate:
     if len(recs) < 2:
         raise ValueError("need at least two entered excursions")
     betas = [delta - (1.0 - delta) * r.depth / r.time for r in recs]
-    tail = max(betas[len(betas) // 2:])
-    return LocalDimensionEstimate(betas, tail)
+    return LocalDimensionEstimate(betas, min(betas[len(betas) // 2:]))
 
 
 def consistency_gap(theta, delta) -> float:

@@ -1,10 +1,15 @@
+import contextlib
+import io
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cusplab.cli import main, parse_generator_spec, parse_weights_spec, parse_x_spec
 
@@ -134,6 +139,11 @@ def test_dim_seq_geometric(capsys):
     assert float(rows[-1][2]) == pytest.approx(0.5, abs=5e-3)
 
 
+def test_spec_missing_key_exit_code():
+    assert main(["dim-seq", "loggeom:base=2"]) == 2
+    assert main(["frostman", "range:lo=3"]) == 2
+
+
 def test_dim_seq_bounded_rejected():
     assert main(["dim-seq", "explicit:2,2,2,2,2,2"]) == 2
 
@@ -234,3 +244,95 @@ def test_csv_byte_determinism_across_runs_and_threads(tmp_path):
 def test_bad_threads_env():
     r = run_cli("cf", "1/2", env_extra={"CUSPLAB_THREADS": "zero"})
     assert r.returncode == 2
+
+
+# -- exit-code fuzz (in process) ------------------------------------------------
+
+def _ints(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+def _floats(lo, hi):
+    return st.one_of(st.floats(lo, hi).map(repr),
+                     st.sampled_from(["nan", "inf", "-inf", "1e400", "x", ""]))
+
+
+def _digits(lo, hi, size):
+    return st.lists(st.integers(lo, hi), min_size=1, max_size=size).map(
+        lambda ds: ",".join(map(str, ds)))
+
+
+_X_SPEC = st.one_of(
+    st.sampled_from(["3/10", "(2)", "sqrt:2-1/1", "1,2,(3,4)", "5,4,3", "0/0", "1/0",
+                     "(2", "()", "(0)", "sqrt:4-1/1", "sqrt:0+1/1", "", ",", "a,b",
+                     "-3/7", "7/-3", "1/1", f"{2 ** 1030},1,1,1,1,1,1"]),
+    _digits(0, 9, 70),
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(-30, 30), st.integers(-30, 60)),
+    st.builds(lambda d, r, q: f"sqrt:{d}{r:+d}/{q}", st.integers(0, 40),
+              st.integers(-9, 9), st.integers(-2, 6)),
+    st.builds(lambda pre, per: f"{pre}({per})", _digits(0, 9, 3).map(lambda t: t + ","),
+              _digits(0, 9, 3)),
+    st.text(max_size=10),
+)
+
+_GENERATOR = st.one_of(
+    st.sampled_from(["loggeom:base=2", "loggeom:alpha=2,bogus=1", "geom:c=x", "poly:",
+                     "explicit:", "explicit:2,2,2,2,2,2", "wat:x=1", "geom:c", ""]),
+    st.builds(lambda a, b: f"loggeom:alpha={a},base={b}", _floats(-1, 4), _floats(-1, 9)),
+    st.builds(lambda c: f"geom:c={c}", _ints(-1, 9)),
+    st.builds(lambda k: f"poly:k={k}", _floats(-1, 5)),
+    st.builds(lambda v: f"explicit:{v}", _digits(0, 10 ** 6, 40)),
+)
+
+_WEIGHTS = st.one_of(
+    st.sampled_from(["good:kappa=2", "range:lo=3", "single:", "single:a=x", "bogus:a=1",
+                     "good:tau=10,zeta=1", "range:lo=2,hi=5,rule=bogus", ""]),
+    st.builds(lambda t, k: f"good:tau={t},kappa={k}", _ints(-1, 30), _floats(-1, 4)),
+    st.builds(lambda lo, w, rule: f"range:lo={lo},hi={lo + w},rule={rule}",
+              st.integers(-1, 30), st.integers(-2, 100),
+              st.sampled_from(["inverse_successor", "uniform"])),
+    st.builds(lambda a: f"single:a={a}", _ints(-1, 50)),
+)
+
+_COMMON = st.lists(st.sampled_from([
+    ["--seed", "7"], ["--svg"], ["--horizon", "25"], ["--tol", "1e-6"],
+    ["--seed", "-1"], ["--seed", str(2 ** 64)], ["--horizon", "0"], ["--tol", "0"],
+    ["--bogus"]]), max_size=2)
+
+_ARGV = st.one_of(
+    st.builds(lambda x, n: ["cf", x, "--n", n], _X_SPEC, _ints(-3, 60)),
+    st.builds(lambda x, h, tau, kappa: ["excursions", x, "--horizon", h, "--tau", tau,
+                                        "--kappa", kappa],
+              _X_SPEC, _ints(-1, 60), _floats(-1, 20), _floats(-1, 20)),
+    st.builds(lambda g, n, k: ["dim-seq", g, "--n-max", n, "--inflation-k", k],
+              _GENERATOR, _ints(-2, 60), _floats(-1, 3)),
+    st.builds(lambda d, g: ["spectrum", d, "--grid", g], _floats(0.3, 1.2), _ints(-2, 300)),
+    st.builds(lambda w, n: ["frostman", w, "--samples", n], _WEIGHTS, _ints(-1, 3)),
+    st.lists(st.text(max_size=8), max_size=4),
+)
+
+
+def _exit_code(argv):
+    """main(argv) in process, with outputs discarded; argparse's SystemExit
+    counts as its exit status.  Any other exception escapes the test."""
+    with tempfile.TemporaryDirectory() as out, \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return main([*argv, "--out", out])
+        except SystemExit as exc:
+            return exc.code
+
+
+@settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argv=_ARGV, common=_COMMON)
+def test_fuzz_exit_codes(argv, common):
+    assert _exit_code(argv + [t for opt in common for t in opt]) in (0, 2, 3, 4)
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(n_list=st.one_of(_digits(-1, 50, 3), st.sampled_from(["", ",", "a", "2,,3", "1e3"])),
+       nodes=st.sampled_from(["8", "10", "12", "3"]), svg=st.booleans())
+def test_fuzz_exit_codes_dim_fn(n_list, nodes, svg):
+    argv = ["dim-fn", n_list, "--nodes", nodes, "--tol", "1e-6"] + ["--svg"] * svg
+    assert _exit_code(argv) in (0, 2, 3, 4)

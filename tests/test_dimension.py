@@ -12,13 +12,14 @@ from cusplab.dimension import (
     _bary_weights,
     _basis_at,
     _lobatto_nodes,
+    _pressure_root,
     crude_critical_exponent,
     good_dimension_sweep,
     jarnik_dimension,
     transfer_dimension,
     ulam_dimension,
 )
-from cusplab.numerics import power_iteration
+from cusplab.numerics import NumericError, power_iteration
 
 
 # -- crude exponents -----------------------------------------------------------
@@ -171,6 +172,54 @@ def test_ulam_direct_digits_match_loop_across_blocks(monkeypatch):
         assert np.allclose(mat, ulam_direct_oracle(op, 0.8), rtol=1e-13, atol=0.0)
 
 
+def ulam_two_sided_oracle(op, s):
+    """The full Ulam matrix of an infinite range with the zeta tail summed
+    per (row, bin) from both ends, zeta(a_lo + x) - zeta(a_hi + 1 + x) on the
+    nonempty cells, and bin 0 from a separate call."""
+    b, w, x = op.bins, op.w, op.x
+    mat = ulam_direct_oracle(op, s)
+    zeta_lo = op.direct_hi + 1
+    a_lo0 = np.maximum(np.floor(1.0 / w - x) + 1.0, zeta_lo)
+    mat[:, 0] += hurwitz_zeta(2.0 * s, a_lo0 + x)
+    k_top = min(int(1.0 / (zeta_lo * w)) + 1, b - 1)
+    kv = np.arange(1, k_top + 1, dtype=float)[:, None]
+    a_lo = np.floor(1.0 / ((kv + 1.0) * w) - x[None, :]) + 1.0
+    a_lo = np.maximum(a_lo, zeta_lo)
+    a_hi = np.floor(1.0 / (kv * w) - x[None, :])
+    ok = a_hi >= a_lo
+    xg = np.broadcast_to(x[None, :], a_lo.shape)
+    vals = np.zeros_like(a_lo)
+    vals[ok] = (hurwitz_zeta(2.0 * s, a_lo[ok] + xg[ok])
+                - hurwitz_zeta(2.0 * s, a_hi[ok] + 1.0 + xg[ok]))
+    mat[:, 1:k_top + 1] += vals.T
+    return mat
+
+
+@pytest.mark.parametrize("lower", [2, 13, 200])
+@pytest.mark.parametrize("bins", [128, 1024])
+def test_ulam_tail_matches_two_sided_oracle(lower, bins):
+    # one zeta value per bin boundary and adjacent differences give the
+    # same bits as two zeta values per cell
+    op = _UlamOperator(DigitAlphabet(lower, None), bins)
+    for s in (0.55, 0.7, 0.95):
+        assert np.array_equal(op.matrix(s), ulam_two_sided_oracle(op, s))
+
+
+@pytest.mark.parametrize("lower, bins", [(2, 128), (200, 1024)])
+def test_ulam_tail_one_zeta_value_per_boundary(monkeypatch, lower, bins):
+    sizes = []
+
+    def counting(s2, q):
+        sizes.append(np.size(q))
+        return hurwitz_zeta(s2, q)
+
+    monkeypatch.setattr(dimension_module, "hurwitz_zeta", counting)
+    op = _UlamOperator(DigitAlphabet(lower, None), bins)
+    op.matrix(0.7)
+    k_top = min(int(1.0 / ((op.direct_hi + 1) * op.w)) + 1, bins - 1)
+    assert sum(sizes) == (k_top + 1) * bins
+
+
 def test_ulam_memory_does_not_grow_with_n():
     # the operator keeps no per-digit arrays, even at 4096 bins and N = 1e5,
     # where (digit, bin) pairs would take about 3 GB
@@ -280,6 +329,23 @@ def test_pressure_root_assembly_budget(monkeypatch, alphabet):
     assert len(calls) <= 10
 
 
+def test_pressure_root_without_sign_change_raises_at_once():
+    # lambda = 2 at both ends of the bracket: no root, and no evaluations
+    # beyond the two endpoints
+    calls = []
+
+    class Doubling:
+        alphabet = DigitAlphabet(1, 2)
+
+        def matrix(self, s):
+            calls.append(s)
+            return 2.0 * np.eye(4)
+
+    with pytest.raises(NumericError, match="not bracketed"):
+        _pressure_root(Doubling(), None, 1e-8, 1e-12)
+    assert len(calls) == 2
+
+
 def test_residual_is_lambda_at_the_returned_root():
     for alphabet in (DigitAlphabet(1, 2), DigitAlphabet(7, None)):
         est = transfer_dimension(alphabet, nodes=16)
@@ -296,6 +362,27 @@ def test_good_dimension_sweep_rows():
     assert rows[0][3] > rows[1][3]
     with pytest.raises(ValueError):
         good_dimension_sweep([1])
+    with pytest.raises(ValueError):
+        good_dimension_sweep([])
+
+
+def test_good_dimension_sweep_threads_and_ulam_column():
+    kwargs = dict(nodes=12, tol=1e-7, ulam_bins=128)
+    rows = good_dimension_sweep([2, 5], threads=2, **kwargs)
+    assert rows == good_dimension_sweep([2, 5], threads=1, **kwargs)
+    assert [len(r) for r in rows] == [6, 6]
+    assert [r[0] for r in rows] == [2, 5]
+    for r in rows:
+        assert abs(r[3] - r[5]) < 1e-3  # coarse bins, loose check
+
+
+def test_good_dimension_sweep_checks_every_n_before_solving(monkeypatch):
+    solved = []
+    monkeypatch.setattr(dimension_module, "transfer_dimension",
+                        lambda alphabet, **kw: solved.append(alphabet))
+    with pytest.raises(ValueError, match="N >= 2"):
+        good_dimension_sweep([3, 1])
+    assert solved == []
 
 
 # -- ratio-set dimension -------------------------------------------------------------

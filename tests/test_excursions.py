@@ -198,6 +198,34 @@ def test_good_membership_kappa_zero():
     assert not good_membership(tr, 1.0, 0.0).verdict
 
 
+def good_membership_oracle(trace, tau, kappa):
+    """The one-sided membership test written out on its own."""
+    flags = []
+    for rec in trace.entered():
+        ok = rec.depth > math.log(tau)
+        if rec.gap_to_next is not None:
+            ok = ok and rec.gap_to_next < kappa
+        flags.append(ok)
+    return flags, all(flags)
+
+
+def test_good_membership_is_one_sided_corridor():
+    tr = excursion_trace(ContinuedFraction.from_periodic((1,), (3, 1, 7)), 40)
+    gaps = sorted(tr.gaps())
+    for tau in (0.5, 1.0, 2.0, 3.0, 5.0):
+        for kappa in (0.0, gaps[len(gaps) // 2], gaps[-1] + 0.1, 1e9):
+            got = good_membership(tr, tau, kappa)
+            assert (got.flags, got.verdict) == good_membership_oracle(tr, tau, kappa)
+    with pytest.raises(ValueError):
+        good_membership(tr, math.inf, 1.0)
+
+
+def test_corridor_membership_rejects_negative_kappa():
+    tr = excursion_trace(SQRT2, 10)
+    with pytest.raises(ValueError, match="kappa"):
+        corridor_membership(tr, 1.0, 2.0, -0.5)
+
+
 def test_corridor_membership():
     # constant digit 10 gives depths log((x + r)/2) = log(5.099...)
     cf = ContinuedFraction.from_periodic((), (10,))

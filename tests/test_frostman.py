@@ -92,6 +92,15 @@ def test_good_weight_range_rule():
     assert math.fsum(m.weights) == pytest.approx(1.0, abs=1e-14)
 
 
+def test_good_weight_range_unreachable_kappa_fails_fast():
+    # no range up to 10^9 digits sums past e^(kappa/2) here; the check must
+    # not walk all 10^9 digits first
+    for tau, kappa in ((3, math.inf), (10, 1e4), (1, 6.1), (10 ** 9 + 5, 1.0)):
+        with pytest.raises(ValueError, match="too large"):
+            good_weight_range(tau, kappa)
+    assert good_weight_range(1, 4.0)[1] == 2469
+
+
 def test_sample_point_lands_in_support():
     m = good_measure(10, 2.0)
     rng = np.random.Generator(np.random.Philox(key=[3, 0]))

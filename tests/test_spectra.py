@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cusplab.dimension import jarnik_dimension
-from cusplab.excursions import synthesize_trace
+from cusplab.excursions import jarnik_ratios, synthesize_trace
 from cusplab.spectra import (
     DegenerateSpectrumError,
     MeasureProbe,
@@ -19,6 +19,7 @@ from cusplab.spectra import (
     strict_spectrum,
     theta_to_beta,
 )
+from test_acceptance import _spike_depths
 
 DELTAS = st.floats(min_value=0.55, max_value=0.95)
 
@@ -149,7 +150,7 @@ def test_local_dim_endpoint_theta_zero():
     depths = [math.log(n + 2) for n in range(400)]
     tr = synthesize_trace(depths, gap=0.3)
     est = local_dim_sequence(tr, 0.7)
-    assert est.tail_limsup == pytest.approx(0.7, abs=0.01)
+    assert est.tail_liminf == pytest.approx(0.7, abs=0.01)
 
 
 def test_local_dim_known_growth():
@@ -158,7 +159,7 @@ def test_local_dim_known_growth():
     tr = synthesize_trace(depths, gap=0.3)
     for delta in (0.6, 0.75, 0.9):
         est = local_dim_sequence(tr, delta)
-        assert est.tail_limsup == pytest.approx(delta - (1 - delta) / 3, abs=0.01)
+        assert est.tail_liminf == pytest.approx(delta - (1 - delta) / 3, abs=0.01)
         lo, hi = 2 * delta - 1, delta
         assert all(lo - 1e-12 <= b <= hi + 1e-12 for b in est.beta_seq)
 
@@ -170,7 +171,18 @@ def test_local_dim_half_ratio():
     depths = [(3.0 ** n) * math.log(2) for n in range(1, 600)]
     tr = synthesize_trace(depths, gap=0.3)
     est = local_dim_sequence(tr, 0.75)
-    assert est.tail_limsup == pytest.approx(5 / 8, abs=0.01)
+    assert est.tail_liminf == pytest.approx(5 / 8, abs=0.01)
+
+
+def test_local_dim_oscillating_ratio():
+    # criterion-7 spike trace: d/t reaches 1/2 on a sparse subsequence and is
+    # negligible elsewhere, so beta_n oscillates between delta and 5/8.  The
+    # level indexed by theta = limsup d/t = 1/2 is the tail infimum 5/8, not
+    # the tail maximum delta.
+    tr = synthesize_trace(_spike_depths(1000, ratio=1.0), gap=0.3)
+    est = local_dim_sequence(tr, 0.75)
+    assert est.tail_liminf == pytest.approx(0.625, abs=0.01)
+    assert est.tail_liminf == theta_to_beta(jarnik_ratios(tr).theta_hat, 0.75)
 
 
 def test_local_dim_degenerate():
