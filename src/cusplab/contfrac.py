@@ -11,11 +11,14 @@ stop being trustworthy approximations of the intended real number.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .halfplane import INFINITY, Horoball
 from .numerics import InsufficientDigitsError
+
+_FLOAT_MAX = sys.float_info.max
 
 
 class ContinuedFraction:
@@ -164,17 +167,27 @@ class ContinuedFraction:
     def value(self) -> float:
         """Floating-point value via backward evaluation of a long prefix."""
         n = min(66, len(self.prefix) + 66 if self.period else len(self.prefix))
-        ds = self.digits(n)
-        v = float(ds[-1])
-        for a in reversed(ds[:-1]):
-            v = a + 1.0 / v
-        return 1.0 / v
+        return 1.0 / complete_quotients(self.digits(n))[0]
 
     def __repr__(self):
         tail = f"({','.join(map(str, self.period))})" if self.period else ""
         head = ",".join(map(str, self.prefix[:8]))
         dots = ",..." if len(self.prefix) > 8 else ""
         return f"ContinuedFraction[{head}{dots}{tail}]"
+
+
+def complete_quotients(digits):
+    """Complete quotients x_k = [a_k; a_{k+1}, ..., a_n], k = 1..n, as floats
+    by backward evaluation (0-based list).  A digit beyond float range makes
+    its quotient inf; the reciprocal, below 2^-1024, then adds 0 to the digit
+    before it, as it would in floats."""
+    out = [0.0] * len(digits)
+    v = math.inf
+    for j in range(len(digits) - 1, -1, -1):
+        a = digits[j]
+        v = a + 1.0 / v if a <= _FLOAT_MAX else math.inf
+        out[j] = v
+    return out
 
 
 @dataclass(frozen=True)

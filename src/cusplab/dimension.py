@@ -271,7 +271,15 @@ def _crude_bracket(alphabet, tol):
 
 
 def _pressure_root(op, crude, tol, power_tol):
-    """(root, |lambda(root) - 1|) of the operator's leading eigenvalue."""
+    """(root, |lambda(root) - 1|) of the operator's leading eigenvalue.
+
+    A one-digit alphabet {a} is a single point, of dimension 0, and L_0 maps
+    f to f(1/(a + x)), with eigenvalue 1 exactly, so it is not solved.  (Its
+    Ulam matrix has one entry per row, and power iteration on it does not
+    converge at 1024 bins.)
+    """
+    if op.alphabet.upper == op.alphabet.lower:
+        return 0.0, 0.0
     state = {"v": None}
     lams = {}
 

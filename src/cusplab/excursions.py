@@ -10,16 +10,30 @@ Numerics: the Ford circle at p_n/q_n is microscopic (diameter 1/q_n^2), so
 naive floating-point geometry cancels catastrophically.  Each excursion is
 instead computed in a normalized picture that sends the base point p_n/q_n to
 infinity by an integer unimodular map, where the ball becomes the half-plane
-above height 1 and every needed quantity is an O(1) ratio of big integers:
+above height 1 and every needed quantity is an O(1) ratio:
 
 * the ray becomes the semicircle over (A_n, x_{n+1}) where x_{n+1} is the
   complete quotient [a_{n+1}; a_{n+2}, ...] and
-  A_n = -(q_{n-1} + xi p_{n-1}) / (q_n + xi p_n),
+  A_n = -(q_{n-1} + xi p_{n-1}) / (q_n + xi p_n)
+      = -r_n (1 + xi c_{n-1}) / (1 + xi c_n),
 * the base point i lands at (X_n, Y_n) with
-  X_n = -(q_{n-1} q_n + p_{n-1} p_n) / (q_n^2 + p_n^2) and
-  Y_n = 1 / (q_n^2 + p_n^2), carried as log Y_n,
+  X_n = -(q_{n-1} q_n + p_{n-1} p_n) / (q_n^2 + p_n^2)
+      = -r_n (1 + c_{n-1} c_n) / (1 + c_n^2) and
+  Y_n = 1 / (q_n^2 + p_n^2), carried as log Y_n = -(2 log q_n + log1p(c_n^2)),
 * depth_n = log R_n with R_n the semicircle radius, and entry/exit times are
   distances from (X_n, Y_n) to the height-1 crossings of the semicircle.
+
+The ratios are floats: r_n = q_{n-1}/q_n follows the recurrence
+r_n = 1/(a_n + r_{n-1}), r_0 = 0, which contracts errors by r_n^2 per step;
+c_n = p_n/q_n is one big-integer division per step until p_n reaches 2^64,
+after which its rounded value no longer changes; log q_n is the log of a big
+integer, which costs O(1).  No step squares or divides big integers beyond
+that, so a trace costs the big-integer recurrence for p_n and q_n (kept for
+the records) plus O(1) float work per excursion.  Complete quotients come
+from backward evaluation in floats, where a digit beyond float range gives
+inf, and a complete quotient x beyond 2^500 enters only through its log:
+the crossings are A_n + 1/x and x, the depth log x - log 2 and the exit
+distance 2 log x - log Y_n, all to double precision.
 
 Depths can be formally non-positive (the ray misses the convergent's ball,
 possible whenever the governing digit is 1); such balls are recorded as
@@ -29,13 +43,21 @@ skipped and excluded from times and gaps.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
-from .contfrac import ContinuedFraction
+from .contfrac import ContinuedFraction, complete_quotients
 from .halfplane import chord_length
 from .numerics import InsufficientDigitsError
 
 _LOOKAHEAD = 44  # extra digits used to evaluate complete quotients
+_HUGE_QUOTIENT = 2.0 ** 500  # beyond it, a complete quotient enters via its log
+_LOG2 = math.log(2.0)
+_FLOAT_MAX = sys.float_info.max
+# Once p_n >= 2^64, every later convergent lies within a relative
+# 1/(p_n q_{n+1}) < 2^-128 of p_n/q_n, so its rounded ratio stops changing
+# (up to one ulp, if p_n/q_n sits that close to a rounding boundary).
+_RATIO_SETTLED = 1 << 64
 
 
 @dataclass(frozen=True)
@@ -77,15 +99,18 @@ class ExcursionTrace:
         return [r.gap_to_next for r in self.entered() if r.gap_to_next is not None]
 
 
-def _dist_to_unit_height(x_src, log_y_src, x_dst):
-    """Distance from (x_src, exp(log_y_src)) to (x_dst, 1), stable for
-    arbitrarily small source heights."""
-    dx = x_src - x_dst
-    if log_y_src > -600.0:
-        y = math.exp(log_y_src)
+def _dist_to_unit_height(dx, log_y):
+    """Distance from (x, exp(log_y)) to (x + dx, 1), stable for arbitrarily
+    small source heights and arbitrarily large offsets."""
+    if log_y > -600.0:
+        y = math.exp(log_y)
         c = 1.0 + (dx * dx + (1.0 - y) ** 2) / (2.0 * y)
-        return math.acosh(c)
-    return math.log(dx * dx + 1.0) - log_y_src
+        if c < 1e300:
+            return math.acosh(c)
+    elif abs(dx) < 1e150:
+        return math.log(dx * dx + 1.0) - log_y
+    # dx^2 / y dominates c, and acosh(c) = log(2c) to double precision
+    return 2.0 * math.log(abs(dx)) - log_y
 
 
 def excursion_trace(cf: ContinuedFraction, horizon: int) -> ExcursionTrace:
@@ -104,67 +129,78 @@ def excursion_trace(cf: ContinuedFraction, horizon: int) -> ExcursionTrace:
     avail = cf.available()
     n_digits = int(min(avail, cf.reliable_digits(), horizon + _LOOKAHEAD))
     ds = cf.digits(n_digits)
-
-    # Complete quotients x_k = [a_k; a_{k+1}, ...] by backward evaluation,
-    # 0-based: quot[j] is the value of the tail starting at digit j+1.
-    quot = [0.0] * n_digits
-    v = float(ds[-1])
-    quot[-1] = v
-    for j in range(n_digits - 2, -1, -1):
-        v = ds[j] + 1.0 / v
-        quot[j] = v
+    quot = complete_quotients(ds)  # quot[n] = x_{n+1}
     xi = 1.0 / quot[0]
+    records = _build_records(_excursion_rows(ds, quot, xi, horizon))
+    return ExcursionTrace(records, horizon, xi=xi)
 
-    records = []
-    p_prev, q_prev = 1, 0   # p_{-1}, q_{-1}
-    p_cur, q_cur = 0, 1     # p_0, q_0
+
+def _excursion_rows(ds, quot, xi, horizon):
+    """(n, p_n, q_n, a_{n+1}, depth, entry_dist, exit_dist) for n = 1..horizon,
+    the distances None where the ray misses the ball."""
+    p_prev, p_cur = 1, 0    # p_{-1}, p_0
+    q_prev, q_cur = 0, 1    # q_{-1}, q_0
+    cn, r = 0.0, 0.0        # p_0/q_0, q_{-1}/q_0
     for n in range(1, horizon + 1):
         a = ds[n - 1]
         p_prev, p_cur = p_cur, a * p_cur + p_prev
         q_prev, q_cur = q_cur, a * q_cur + q_prev
-        digit_next = ds[n]
-        cn = p_cur / q_cur
-        cnm = p_prev / q_prev
-        r = q_prev / q_cur
+        cnm = cn
+        if p_prev < _RATIO_SETTLED:
+            cn = p_cur / q_cur
+        # q_{n-1}/q_n; below 2^-1024 after a digit beyond float range
+        r = 1.0 / (a + r) if a <= _FLOAT_MAX else 0.0
         A = -r * (1.0 + xi * cnm) / (1.0 + xi * cn)
-        B = quot[n]  # x_{n+1}
-        R = 0.5 * (B - A)
-        depth = math.log(R)
-        if R <= 1.0:
-            records.append(ExcursionRecord(n, p_cur, q_cur, digit_next, depth,
+        B = quot[n]
+        if B < _HUGE_QUOTIENT:
+            R = 0.5 * (B - A)
+            depth = math.log(R)
+            if R <= 1.0:
+                yield n, p_cur, q_cur, ds[n], depth, None, None
+                continue
+            m = 0.5 * (A + B)
+            s = math.sqrt((R - 1.0) * (R + 1.0))
+            entry_x = (A * B + 1.0) / (m + s)   # m - s without cancellation
+            exit_x = m + s
+        else:
+            # B = a_{n+1} + 1/x_{n+2} beyond 2^500 (inf beyond float range):
+            # the crossings are A + 1/B and B, and log B = log a_{n+1}, to
+            # double precision
+            log_b = math.log(ds[n])
+            depth = log_b - _LOG2
+            entry_x = A + 1.0 / B
+            exit_x = None
+        X = -r * (1.0 + cn * cnm) / (1.0 + cn * cn)
+        log_y = -(2.0 * math.log(q_cur) + math.log1p(cn * cn))
+        entry_dist = _dist_to_unit_height(X - entry_x, log_y)
+        if exit_x is None:
+            exit_dist = 2.0 * log_b - log_y
+        else:
+            exit_dist = _dist_to_unit_height(X - exit_x, log_y)
+        yield n, p_cur, q_cur, ds[n], depth, entry_dist, exit_dist
+
+
+def _build_records(rows):
+    """ExcursionRecords from (index, p, q, digit, depth, entry_dist,
+    exit_dist) rows, entry_dist None for a skipped ball.  Each record is
+    built once: an entered one waits in its slot until the next entered row
+    gives its gap."""
+    records = []
+    slot = pending = None
+    for index, p, q, digit, depth, entry_dist, exit_dist in rows:
+        if entry_dist is None:
+            records.append(ExcursionRecord(index, p, q, digit, depth,
                                            False, None, None, None))
             continue
-        X = -r * (1.0 + cn * cnm) / (1.0 + cn * cn)
-        log_y = -math.log(q_cur * q_cur + p_cur * p_cur)
-        m = 0.5 * (A + B)
-        s = math.sqrt((R - 1.0) * (R + 1.0))
-        entry_x = (A * B + 1.0) / (m + s)   # m - s without cancellation
-        exit_x = m + s
-        entry_dist = _dist_to_unit_height(X, log_y, entry_x)
-        exit_dist = _dist_to_unit_height(X, log_y, exit_x)
-        records.append(ExcursionRecord(n, p_cur, q_cur, digit_next, depth,
-                                       True, entry_dist, exit_dist,
-                                       entry_dist + depth))
-
-    _fill_gaps(records)
-    return ExcursionTrace(records, horizon, xi=xi)
-
-
-def _fill_gaps(records):
-    prev = None
-    for i, rec in enumerate(records):
-        if not rec.entered:
-            continue
-        if prev is not None:
-            gap = rec.entry_dist - records[prev].exit_dist
-            records[prev] = _with_gap(records[prev], gap)
-        prev = i
-
-
-def _with_gap(rec: ExcursionRecord, gap: float) -> ExcursionRecord:
-    return ExcursionRecord(rec.index, rec.p, rec.q, rec.digit, rec.depth,
-                           rec.entered, rec.entry_dist, rec.exit_dist,
-                           rec.time, gap)
+        if pending is not None:  # pending[7] is its exit_dist
+            records[slot] = ExcursionRecord(*pending, entry_dist - pending[7])
+        slot = len(records)
+        pending = (index, p, q, digit, depth, True, entry_dist, exit_dist,
+                   entry_dist + depth)
+        records.append(None)
+    if pending is not None:
+        records[slot] = ExcursionRecord(*pending)
+    return records
 
 
 def synthesize_trace(depths, gap=0.25, initial=1.0) -> ExcursionTrace:
@@ -184,15 +220,15 @@ def synthesize_trace(depths, gap=0.25, initial=1.0) -> ExcursionTrace:
         gaps = [float(g) for g in gap]
         if len(gaps) < len(depths):
             raise ValueError("need one gap per excursion")
-    records = []
-    pos = float(initial)
-    for k, d in enumerate(depths):
-        chord = chord_length(d)
-        records.append(ExcursionRecord(k + 1, None, None, None, d, True,
-                                       pos, pos + chord, pos + d))
-        pos += chord + gaps[k]
-    _fill_gaps(records)
-    return ExcursionTrace(records, len(depths))
+
+    def rows():
+        pos = float(initial)
+        for k, d in enumerate(depths):
+            chord = chord_length(d)
+            yield k + 1, None, None, None, d, pos, pos + chord
+            pos += chord + gaps[k]
+
+    return ExcursionTrace(_build_records(rows()), len(depths))
 
 
 def gap_bound_estimate(traces) -> float:

@@ -28,6 +28,8 @@ class GrowthSequence:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in self.log_s):
+            raise ValueError(f"non-finite term in {self.kind} sequence {self.params}")
         if len(self.log_s) < 3:
             raise ValueError("need at least three terms")
         if any(v < 0 for v in self.log_s):
@@ -98,6 +100,10 @@ class OmegaRhoEstimates:
     closed_form_rho: float | None
 
 
+def _ratio(num, den):
+    return np.divide(num, den, out=np.where(num > 0, np.inf, np.nan), where=den != 0)
+
+
 def seq_omega_rho(seq: GrowthSequence, n_max=None, inflation_k=1.0) -> OmegaRhoEstimates:
     """Finite-n estimates of omega (limsup form) and rho (liminf form).
 
@@ -110,8 +116,8 @@ def seq_omega_rho(seq: GrowthSequence, n_max=None, inflation_k=1.0) -> OmegaRhoE
     """
     if not seq.admissible():
         raise ValueError("sequence is not admissible (s_n must tend to infinity)")
-    if inflation_k <= 0:
-        raise ValueError("inflation constant must be positive")
+    if not 0 < inflation_k < math.inf:
+        raise ValueError("inflation constant must be positive and finite")
     logs = np.asarray(seq.log_s, dtype=float)
     if n_max is not None:
         if n_max < 3:
@@ -121,10 +127,11 @@ def seq_omega_rho(seq: GrowthSequence, n_max=None, inflation_k=1.0) -> OmegaRhoE
     partial = np.cumsum(logs)             # L_n = log(s_1 ... s_n)
     log_k = math.log(inflation_k)
 
-    with np.errstate(divide="ignore"):
-        omega_hat = logs[1:] / (2.0 * partial[:-1])
-    denom = 2.0 * (np.arange(1, n) * log_k + partial[:-1]) + logs[1:]
-    rho_hat = partial[:-1] / denom
+    # a ratio over a zero denominator (leading terms s_k = 1) is inf, or nan
+    # (undefined) when its numerator is 0 too
+    omega_hat = _ratio(logs[1:], 2.0 * partial[:-1])
+    rho_hat = _ratio(partial[:-1],
+                     2.0 * (np.arange(1, n) * log_k + partial[:-1]) + logs[1:])
 
     half_w = max(0, len(omega_hat) // 2)
     half_r = max(0, len(rho_hat) // 2)

@@ -107,9 +107,19 @@ def test_excursions_insufficient_digits():
 
 def test_excursions_digit_beyond_float_range_exit_code():
     proc = run_cli("excursions", f"{2 ** 1030},1,1,1,1,1,1", "--horizon", "5")
-    assert proc.returncode == 4
-    assert "Traceback" not in proc.stderr
-    assert len(proc.stderr.strip().splitlines()) == 1
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    _, rows = parse_csv(proc.stdout)
+    assert len(rows) == 5
+
+
+def test_excursions_digit_beyond_float_range_in_process(capsys):
+    digits = ",".join(map(str, [1, 2, 10 ** 400, 3] + [2, 1, 5] * 8))
+    assert main(["excursions", digits, "--horizon", "20"]) == 0
+    _, rows = parse_csv(capsys.readouterr().out)
+    assert rows[1][1] == str(10 ** 400)
+    assert abs(float(rows[1][2]) - 400 * math.log(10)) < 2.5
+    assert all(math.isfinite(float(r[3])) for r in rows if r[6] == "1")
 
 
 def test_dim_fn_row(capsys):
@@ -142,6 +152,13 @@ def test_dim_seq_geometric(capsys):
 def test_spec_missing_key_exit_code():
     assert main(["dim-seq", "loggeom:base=2"]) == 2
     assert main(["frostman", "range:lo=3"]) == 2
+
+
+@pytest.mark.parametrize("spec", ["loggeom:alpha=nan,base=2", "poly:k=inf",
+                                  "loggeom:alpha=2,base=inf"])
+def test_dim_seq_non_finite_parameter_exit_code(spec, capsys):
+    assert main(["dim-seq", spec]) == 2
+    assert "non-finite" in capsys.readouterr().err
 
 
 def test_dim_seq_bounded_rejected():

@@ -144,3 +144,10 @@ def test_cf_expand_type_dispatch():
         cl.cf_expand(1.5, 3)
     with pytest.raises(TypeError):
         cl.cf_expand("x", 3)
+
+
+def test_value_with_digit_beyond_float_range():
+    # a digit beyond float range contributes 1/inf = 0 to its neighbour
+    assert ContinuedFraction([3, 2 ** 1100, 2]).value() == 1.0 / 3.0
+    assert ContinuedFraction([2 ** 1100, 5]).value() == 0.0
+    assert ContinuedFraction.from_periodic((1, 10 ** 400), (2,)).value() == 1.0

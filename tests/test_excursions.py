@@ -1,10 +1,12 @@
 import math
+import random
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
 import cusplab as cl
-from cusplab.contfrac import ContinuedFraction
+from cusplab.contfrac import ContinuedFraction, convergents
 from cusplab.excursions import (
     excursion_trace,
     gap_bound_estimate,
@@ -273,3 +275,197 @@ def test_synthesize_trace_huge_depths():
     # depths near the float ceiling must survive the stable chord formula
     tr = synthesize_trace([1e300, 2e300], gap=1.0)
     assert tr.records[0].exit_dist == pytest.approx(2e300 + 2 * LOG2 + 1.0, rel=1e-12)
+
+
+# -- big-integer oracle -------------------------------------------------------
+
+def big_int_trace_oracle(cf, horizon):
+    """The trace as computed before the float ratio recurrences: the ratios
+    p_n/q_n, p_{n-1}/q_{n-1} and q_{n-1}/q_n by big-integer division and
+    log Y_n = -log(q_n^2 + p_n^2) at every step, and gaps filled in a second
+    pass.  Its float crossings and distances overflow once the complete
+    quotient passes about 1e154 (an infinite exit distance and an entry point
+    at 0), so there they are evaluated in 40-digit decimal arithmetic.
+
+    Returns (index, p, q, digit, depth, entered, entry_dist, exit_dist,
+    time, gap_to_next) tuples."""
+    n_digits = int(min(cf.available(), cf.reliable_digits(), horizon + 44))
+    ds = cf.digits(n_digits)
+    quot = [0.0] * n_digits
+    v = float(ds[-1])
+    quot[-1] = v
+    for j in range(n_digits - 2, -1, -1):
+        v = ds[j] + 1.0 / v
+        quot[j] = v
+    xi = 1.0 / quot[0]
+
+    rows = []
+    p_prev, q_prev = 1, 0
+    p_cur, q_cur = 0, 1
+    for n in range(1, horizon + 1):
+        a = ds[n - 1]
+        p_prev, p_cur = p_cur, a * p_cur + p_prev
+        q_prev, q_cur = q_cur, a * q_cur + q_prev
+        cn = p_cur / q_cur
+        cnm = p_prev / q_prev
+        r = q_prev / q_cur
+        A = -r * (1.0 + xi * cnm) / (1.0 + xi * cn)
+        B = quot[n]
+        R = 0.5 * (B - A)
+        depth = math.log(R)
+        if R <= 1.0:
+            rows.append([n, p_cur, q_cur, ds[n], depth, False, None, None, None, None])
+            continue
+        X = -r * (1.0 + cn * cnm) / (1.0 + cn * cn)
+        log_y = -math.log(q_cur * q_cur + p_cur * p_cur)
+        m = 0.5 * (A + B)
+        s = math.sqrt((R - 1.0) * (R + 1.0))
+        entry_x = (A * B + 1.0) / (m + s)
+        exit_x = m + s
+        entry_dist = _oracle_dist(X, log_y, entry_x)
+        exit_dist = _oracle_dist(X, log_y, exit_x)
+        if not (math.isfinite(s) and math.isfinite(exit_dist)):
+            entry_dist, exit_dist = _decimal_dists(A, B, X, log_y)
+        rows.append([n, p_cur, q_cur, ds[n], depth, True, entry_dist, exit_dist,
+                     entry_dist + depth, None])
+    prev = None
+    for row in rows:
+        if row[5]:
+            if prev is not None:
+                prev[9] = row[6] - prev[7]
+            prev = row
+    return [tuple(row) for row in rows]
+
+
+def _oracle_dist(x_src, log_y_src, x_dst):
+    dx = x_src - x_dst
+    if log_y_src > -600.0:
+        y = math.exp(log_y_src)
+        return math.acosh(1.0 + (dx * dx + (1.0 - y) ** 2) / (2.0 * y))
+    return math.log(dx * dx + 1.0) - log_y_src
+
+
+def _decimal_dists(A, B, X, log_y):
+    with localcontext() as ctx:
+        ctx.prec = 40
+        A, B, X = Decimal(A), Decimal(B), Decimal(X)
+        y = Decimal(log_y).exp()
+        R = (B - A) / 2
+        s = ((R - 1) * (R + 1)).sqrt()
+        exit_x = (A + B) / 2 + s
+
+        def dist(x):
+            c = 1 + ((X - x) ** 2 + (1 - y) ** 2) / (2 * y)
+            return float((c + (c * c - 1).sqrt()).ln())
+
+        return dist((A * B + 1) / exit_x), dist(exit_x)
+
+
+def _oracle_streams(count, seed):
+    """(digits, horizon) for ``count`` streams cycling through three families:
+    digits 1-9, heavy-tailed floor(1/U), and digits 1-3 with a term of 1 to
+    1000 random bits (log-uniform, so that q_n stays small enough for the
+    oracle) spliced in every 3-8 digits."""
+    rng = np.random.default_rng(seed)
+    bits = random.Random(seed)
+    for k in range(count):
+        horizon = int(rng.integers(1, 301))
+        size = horizon + 44
+        if k % 3 == 0:
+            digits = rng.integers(1, 10, size=size).tolist()
+        elif k % 3 == 1:
+            digits = np.floor(1.0 / (1.0 - rng.random(size))).astype(np.int64).tolist()
+        else:
+            digits = rng.integers(1, 4, size=size).tolist()
+            pos = int(rng.integers(0, 8))
+            while pos < size:
+                b = round(1000.0 ** bits.random())
+                digits[pos] = bits.getrandbits(b) | (1 << (b - 1))
+                pos += int(rng.integers(3, 9))
+        yield digits, horizon
+
+
+def assert_matches_oracle(cf, horizon):
+    got = excursion_trace(cf, horizon).records
+    want = big_int_trace_oracle(cf, horizon)
+    convs = convergents(cf, horizon)
+    assert len(got) == len(want) == horizon
+    for rec, row, conv in zip(got, want, convs):
+        index, p, q, digit, depth, entered, entry, exit_, time, gap = row
+        assert (rec.index, rec.p, rec.q, rec.digit, rec.entered) == (
+            index, p, q, digit, entered)
+        assert (rec.p, rec.q) == (conv.p, conv.q)
+        assert abs(rec.depth - depth) <= 1e-12 * max(1.0, abs(depth))
+        if not entered:
+            assert rec.entry_dist is rec.exit_dist is rec.time is None
+            continue
+        for x, y in ((rec.entry_dist, entry), (rec.exit_dist, exit_), (rec.time, time)):
+            assert math.isfinite(x) and abs(x - y) <= 1e-12 * max(1.0, abs(y))
+        if gap is None:
+            assert rec.gap_to_next is None
+        else:
+            assert abs(rec.gap_to_next - gap) <= 1e-12 * max(1.0, exit_)
+
+
+def test_trace_matches_big_int_oracle():
+    for digits, horizon in _oracle_streams(1000, 31):
+        assert_matches_oracle(ContinuedFraction(digits), horizon)
+
+
+def test_trace_matches_big_int_oracle_long_quadratic():
+    # sqrt(123457) - 351 has a period of several hundred digits
+    cf = ContinuedFraction.from_quadratic(123457, -351, 1)
+    assert len(cf.period) > 100
+    assert_matches_oracle(cf, 3000)
+
+
+def test_oracle_streams_reach_huge_quotients():
+    # the spliced family exercises both the decimal branch of the oracle and
+    # the log branch of the trace (complete quotients beyond 2^500)
+    huge = [max(digits[1:horizon + 1]) for k, (digits, horizon)
+            in enumerate(_oracle_streams(60, 31)) if k % 3 == 2]
+    assert max(huge) > 2 ** 900 and min(huge) < 2 ** 500
+
+
+def synthesize_oracle(depths, gaps, initial):
+    """(entry_dist, exit_dist, time, gap_to_next) rows of synthesize_trace as
+    earlier versions built them."""
+    rows, pos = [], float(initial)
+    for d, g in zip(depths, gaps):
+        chord = cl.chord_length(d)
+        rows.append([pos, pos + chord, pos + d, None])
+        pos += chord + g
+    for row, nxt in zip(rows, rows[1:]):
+        row[3] = nxt[0] - row[1]
+    return [tuple(row) for row in rows]
+
+
+def test_synthesize_trace_gaps_bit_identical():
+    rng = np.random.default_rng(32)
+    depths = rng.exponential(3.0, size=200).tolist()
+    gaps = rng.uniform(0.0, 2.0, size=200).tolist()
+    tr = synthesize_trace(depths, gap=gaps, initial=0.7)
+    got = [(r.entry_dist, r.exit_dist, r.time, r.gap_to_next) for r in tr.records]
+    assert got == synthesize_oracle(depths, gaps, 0.7)
+    assert [r.index for r in tr.records] == list(range(1, 201))
+
+
+# -- digits beyond float range -------------------------------------------------
+
+@pytest.mark.parametrize("digits", [
+    [1, 2, 10 ** 400, 3] + [2, 1, 5] * 20,
+    [10 ** 400, 1, 2] + [2, 1, 5] * 20,
+    [3, 10 ** 400, 2 ** 1100, 7] + [2, 1, 5] * 20,
+])
+def test_digit_beyond_float_range(digits):
+    tr = excursion_trace(ContinuedFraction(digits), 40)
+    for rec in tr.records:
+        assert abs(rec.depth - math.log(rec.digit)) < 2.5   # criterion 3
+    times = tr.times()
+    assert all(b > a for a, b in zip(times, times[1:]))
+    entries = tr.entry_dists()
+    assert all(b > a for a, b in zip(entries, entries[1:]))
+    assert all(math.isfinite(x) for r in tr.entered() for x in (r.exit_dist, r.time))
+    assert all(-1e-9 < g < 6.0 for g in tr.gaps())
+    assert tr.xi == ContinuedFraction(digits).value()
+

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from cusplab.growth import GrowthSequence, seq_omega_rho
@@ -72,3 +73,24 @@ def test_generator_validation():
         GrowthSequence.geometric(1, 10)
     with pytest.raises(ValueError):
         seq_omega_rho(GrowthSequence.geometric(2, 10), inflation_k=0.0)
+
+
+def test_non_finite_parameters_rejected():
+    for make in (lambda: GrowthSequence.log_geometric(math.nan, 10),
+                 lambda: GrowthSequence.log_geometric(2.0, 10, base=math.inf),
+                 lambda: GrowthSequence.polynomial(math.inf, 10),
+                 lambda: GrowthSequence.explicit([1, 2, math.inf])):
+        with pytest.raises(ValueError, match="non-finite"):
+            make()
+    for k in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            seq_omega_rho(GrowthSequence.geometric(2, 10), inflation_k=k)
+
+
+def test_leading_unit_terms_give_nan_and_inf_without_warnings():
+    # s = 1, 1, 1, 3, ...: omega_hat is 0/0 (nan) until the first term > 1,
+    # then x/0 (inf); rho_hat is 0/0 until the product passes 1
+    est = seq_omega_rho(GrowthSequence.explicit([1, 1, 1, 3, 9, 27]))
+    assert np.isnan(est.omega_hat[:2]).all() and est.omega_hat[2] == math.inf
+    assert np.isnan(est.rho_hat[:2]).all() and est.rho_hat[2] == 0.0
+    assert np.isfinite(est.omega_hat[3:]).all() and np.isfinite(est.rho_hat[3:]).all()
