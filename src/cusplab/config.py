@@ -9,6 +9,7 @@ bytes.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 from dataclasses import dataclass
 
@@ -31,8 +32,8 @@ class RunConfig:
 
     def __post_init__(self):
         for name in ("bisect_tol", "power_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         for name in ("nodes", "ulam_bins", "horizon", "threads"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive integer")

@@ -38,10 +38,19 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.special import zeta as hurwitz_zeta
 
 from .numerics import NumericError, bracketed_root, power_iteration
+
+
+def hurwitz_zeta(x, q):
+    """Hurwitz zeta(x, q) = sum_{k >= 0} (k + q)^{-x}, elementwise.
+
+    scipy is imported here, on the first solve, rather than with the module:
+    the subcommands that never solve a dimension then start without it.
+    """
+    from scipy.special import zeta
+
+    return zeta(x, q)
 
 
 @dataclass(frozen=True)
@@ -220,6 +229,8 @@ class _UlamOperator:
     def matrix(self, s):
         b, w, x = self.bins, self.w, self.x
         if not self.alphabet.infinite:
+            from scipy import sparse
+
             parts = [sparse.csr_matrix(
                 (wgt.ravel(), (np.repeat(np.arange(b), col.shape[1]), col.ravel())),
                 shape=(b, b)) for col, wgt in self._direct_blocks(s)]

@@ -254,7 +254,7 @@ def good_membership(trace: ExcursionTrace, tau: float, kappa: float) -> Membersh
     """Finite-horizon membership test for the deep-excursion set: every
     recorded depth exceeds log(tau) and every inter-excursion gap stays below
     kappa.  The verdict only speaks for the horizon of the trace."""
-    if not 0 < tau < math.inf or kappa < 0:
+    if not 0 < tau < math.inf or not kappa >= 0:
         raise ValueError("tau must be positive and finite and kappa nonnegative")
     return corridor_membership(trace, tau, math.inf, kappa)
 
@@ -265,8 +265,8 @@ def corridor_membership(trace: ExcursionTrace, tau_lo: float, tau_hi: float,
     kappa.  This is the corridor set used to mass lower bounds from inside."""
     if not 0 < tau_lo < tau_hi:
         raise ValueError("need 0 < tau_lo < tau_hi")
-    if kappa < 0:
-        raise ValueError("kappa must be nonnegative")
+    if not kappa >= 0:
+        raise ValueError(f"kappa must be nonnegative, got {kappa}")
     lo, hi = math.log(tau_lo), math.log(tau_hi)
     recs = trace.entered()
     if not recs:

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dimension import jarnik_dimension
-
 
 class DegenerateSpectrumError(ValueError):
     """delta = 1 collapses the spectrum interval to a point."""
@@ -145,9 +143,3 @@ def local_dim_sequence(trace, delta) -> LocalDimensionEstimate:
         raise ValueError("need at least two entered excursions")
     betas = [delta - (1.0 - delta) * r.depth / r.time for r in recs]
     return LocalDimensionEstimate(betas, min(betas[len(betas) // 2:]))
-
-
-def consistency_gap(theta, delta) -> float:
-    """|strict_spectrum(theta_to_beta(theta)) - jarnik_dimension(theta)|."""
-    return abs(strict_spectrum(theta_to_beta(theta, delta), delta)
-               - jarnik_dimension(theta))

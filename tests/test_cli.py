@@ -221,6 +221,25 @@ def test_config_bad_key(tmp_path):
     assert main(["cf", "1/2", "--config", str(cfgfile)]) == 2
 
 
+@pytest.mark.parametrize("argv, cfg_text, code", [
+    (["dim-fn", "2", "--tol", "nan"], None, 2),
+    (["dim-fn", "2", "--tol", "inf"], None, 2),
+    (["dim-fn", "2"], "bisect_tol = nan\n", 2),
+    (["dim-fn", "2"], "power_tol = inf\n", 2),
+    (["excursions", "(2)", "--kappa", "nan"], None, 2),
+    (["excursions", "(2)", "--kappa", "inf"], None, 0),
+], ids=["tol-nan", "tol-inf", "config-bisect_tol-nan", "config-power_tol-inf",
+        "kappa-nan", "kappa-inf"])
+def test_non_finite_tolerance_and_kappa_exit_code(argv, cfg_text, code, tmp_path, capsys):
+    if cfg_text is not None:
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(cfg_text)
+        argv = [*argv, "--config", str(cfgfile)]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == (1 if code else 0), err
+
+
 def test_out_dir_and_svg(tmp_path):
     assert main(["spectrum", "0.75", "--grid", "11", "--svg",
                  "--out", str(tmp_path)]) == 0
@@ -256,6 +275,28 @@ def test_csv_byte_determinism_across_runs_and_threads(tmp_path):
         assert r.returncode == 0, r.stderr
         outs.append((d / "frostman.csv").read_bytes())
     assert outs[0] == outs[1] == outs[2]
+
+
+_SCIPY_PROBE = ("import sys, cusplab, cusplab.cli; "
+                "code = cusplab.cli.main(sys.argv[1:]); "
+                "print(code, 'scipy' in sys.modules)")
+
+
+@pytest.mark.parametrize("argv", [
+    ["cf", "3/10", "--n", "8"],
+    ["cf", "sqrt:2-1/1", "--n", "12"],
+    ["excursions", "(2)", "--horizon", "40", "--tau", "1", "--kappa", "5"],
+    ["dim-seq", "loggeom:alpha=2,base=2", "--n-max", "30"],
+    ["spectrum", "0.75", "--grid", "201", "--svg"],
+    ["frostman", "good:tau=10,kappa=2", "--samples", "120", "--seed", "7"],
+    ["dim-fn", "2", "--nodes", "8", "--tol", "1e-6"],
+], ids=["cf-rational", "cf-quadratic", "excursions", "dim-seq", "spectrum", "frostman",
+        "dim-fn"])
+def test_scipy_imported_only_by_dimension_solves(argv, tmp_path):
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *argv, "--out", str(tmp_path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", str(argv[0] == "dim-fn")]
 
 
 def test_bad_threads_env():

@@ -228,6 +228,18 @@ def test_corridor_membership_rejects_negative_kappa():
         corridor_membership(tr, 1.0, 2.0, -0.5)
 
 
+@pytest.mark.parametrize("membership", [
+    lambda tr, kappa: good_membership(tr, 1.0, kappa),
+    lambda tr, kappa: corridor_membership(tr, 1.0, 2.0, kappa),
+], ids=["good", "corridor"])
+def test_membership_rejects_nan_kappa(membership):
+    tr = excursion_trace(SQRT2, 10)
+    with pytest.raises(ValueError, match="kappa"):
+        membership(tr, math.nan)
+    # an infinite kappa puts no bound on the gaps
+    assert membership(tr, math.inf).flags == membership(tr, 1e300).flags
+
+
 def test_corridor_membership():
     # constant digit 10 gives depths log((x + r)/2) = log(5.099...)
     cf = ContinuedFraction.from_periodic((), (10,))
