@@ -1,6 +1,8 @@
 """cusplab: cusp-excursion geometry on the modular surface, restricted
 continued fractions, and Hausdorff-dimension estimation."""
 
+import importlib
+
 from .halfplane import (
     BASE_POINT,
     INFINITY,
@@ -38,22 +40,6 @@ from .excursions import (
     theta_to_ratio,
 )
 from .growth import GrowthSequence, seq_omega_rho
-from .dimension import (
-    DigitAlphabet,
-    crude_critical_exponent,
-    good_dimension_sweep,
-    jarnik_dimension,
-    transfer_dimension,
-    ulam_dimension,
-)
-from .frostman import (
-    CylinderMeasure,
-    ball_mass,
-    cdf,
-    frostman_sampler,
-    good_measure,
-    good_weight_range,
-)
 from .spectra import (
     DegenerateSpectrumError,
     MeasureProbe,
@@ -69,3 +55,32 @@ from .spectra import (
 from .numerics import InsufficientDigitsError, NumericError
 
 __version__ = "0.1.0"
+
+# The numpy-backed modules load on first use of one of their names, so that
+# the stdlib-only subcommands start without numpy.
+_LAZY = {
+    "DigitAlphabet": "dimension",
+    "crude_critical_exponent": "dimension",
+    "good_dimension_sweep": "dimension",
+    "jarnik_dimension": "dimension",
+    "transfer_dimension": "dimension",
+    "ulam_dimension": "dimension",
+    "CylinderMeasure": "frostman",
+    "ball_mass": "frostman",
+    "cdf": "frostman",
+    "frostman_sampler": "frostman",
+    "good_measure": "frostman",
+    "good_weight_range": "frostman",
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})

@@ -16,9 +16,7 @@ from pathlib import Path
 
 from .config import resolve_config
 from .contfrac import ContinuedFraction, convergents
-from .dimension import good_dimension_sweep
 from .excursions import excursion_trace, good_membership, jarnik_ratios
-from .frostman import CylinderMeasure, good_measure, sample_rows
 from .growth import GrowthSequence, seq_omega_rho
 from .numerics import InsufficientDigitsError, NumericError
 from .spectra import spectrum_table
@@ -110,6 +108,8 @@ def parse_generator_spec(spec: str) -> "GrowthSequence | None":
 def parse_weights_spec(spec: str):
     """Measure spec: 'good:tau=T,kappa=K' | 'range:lo=L,hi=H[,rule=R]' |
     'single:a=A'."""
+    from .frostman import CylinderMeasure, good_measure
+
     kind, _, body = spec.strip().partition(":")
     kv = _parse_kv(body)
     if kind == "good":
@@ -183,6 +183,8 @@ def cmd_excursions(args, cfg):
 
 
 def cmd_dim_fn(args, cfg):
+    from .dimension import good_dimension_sweep
+
     rows = good_dimension_sweep(
         [int(t) for t in args.N.split(",") if t.strip()], nodes=cfg.nodes,
         tol=cfg.bisect_tol, power_tol=cfg.power_tol, m_eff=cfg.m_eff or None,
@@ -255,6 +257,13 @@ def cmd_spectrum(args, cfg):
     return table, svg
 
 
+def sample_rows(measure, seed, idx):
+    # a function, not an import, so that cli loads without numpy while the
+    # traced benchmark can still rebind cli.sample_rows; ROADMAP item 6 drops it
+    from .frostman import sample_rows
+    return sample_rows(measure, seed, idx)
+
+
 def cmd_frostman(args, cfg):
     if args.samples < 1:
         raise ValueError("need a positive sample count")
@@ -284,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", metavar="DIR", help="write CSV/SVG under DIR instead of stdout")
     common.add_argument("--seed", type=int, help="64-bit RNG seed")
     common.add_argument("--horizon", type=int, help="excursion horizon N")
-    common.add_argument("--tol", type=float, help="bisection tolerance on s")
+    common.add_argument("--tol", type=float, help="bisection tolerance on s, in (0, 1e-3]")
     common.add_argument("--nodes", type=int, help="collocation nodes")
     common.add_argument("--svg", action="store_true", default=None, help="emit SVG plot too")
 

@@ -9,9 +9,12 @@ bytes.
 from __future__ import annotations
 
 import hashlib
-import math
 import os
 from dataclasses import dataclass
+
+# Root solves stop once their bracket is narrower than the tolerance, so a
+# coarser one reports little more than the crude bracket as the estimate.
+MAX_TOL = 1e-3
 
 
 @dataclass
@@ -32,8 +35,9 @@ class RunConfig:
 
     def __post_init__(self):
         for name in ("bisect_tol", "power_tol"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
+            value = getattr(self, name)
+            if not 0 < value <= MAX_TOL:
+                raise ValueError(f"{name} must lie in (0, {MAX_TOL:g}], got {value!r}")
         for name in ("nodes", "ulam_bins", "horizon", "threads"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive integer")

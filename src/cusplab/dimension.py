@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import NumericError, bracketed_root, power_iteration
+from .numerics import NumericError, bracketed_root
 
 
 def hurwitz_zeta(x, q):
@@ -51,6 +51,32 @@ def hurwitz_zeta(x, q):
     from scipy.special import zeta
 
     return zeta(x, q)
+
+
+def power_iteration(mat, tol=1e-12, max_iter=200_000, v0=None):
+    """Dominant eigenvalue of a square matrix by plain power iteration.
+
+    Returns (eigenvalue, eigenvector, iterations).  Convergence is declared
+    when the Rayleigh quotient moves by less than ``tol * max(1, |lam|)``.
+    Raises NumericError with diagnostics if the iteration does not settle.
+    """
+    n = mat.shape[0]
+    v = np.full(n, 1.0 / math.sqrt(n)) if v0 is None else v0 / np.linalg.norm(v0)
+    lam_prev = None
+    for it in range(1, max_iter + 1):
+        w = mat @ v
+        nrm = np.linalg.norm(w)
+        if nrm == 0.0 or not np.isfinite(nrm):
+            raise NumericError(f"power iteration degenerated at step {it} (norm={nrm})")
+        lam = float(v @ w)
+        v = w / nrm
+        if lam_prev is not None and abs(lam - lam_prev) <= tol * max(1.0, abs(lam)):
+            return lam, v, it
+        lam_prev = lam
+    raise NumericError(
+        f"power iteration did not converge in {max_iter} steps "
+        f"(last eigenvalue estimate {lam_prev!r}, matrix size {n})"
+    )
 
 
 @dataclass(frozen=True)

@@ -85,8 +85,8 @@ def good_weight_range(tau, kappa):
     tau = int(tau)
     if tau < 1:
         raise ValueError("tau must be >= 1")
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
+    if not kappa > 0:
+        raise ValueError(f"kappa must be positive, got {kappa!r}")
     ceiling = 10**9
     # the sum up to tau' is below log((tau' + 1)/tau), so no tau' <= ceiling
     # gets past e^{kappa/2} >= log((ceiling + 1)/tau): fail before summing

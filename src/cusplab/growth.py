@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from itertools import accumulate
 
 
 @dataclass(frozen=True)
@@ -92,8 +91,8 @@ class GrowthSequence:
 
 @dataclass(frozen=True)
 class OmegaRhoEstimates:
-    omega_hat: np.ndarray     # omega_hat[n] for n = 2..n_max
-    rho_hat: np.ndarray       # rho_hat[n] for n = 1..n_max-1
+    omega_hat: tuple          # omega_hat[n] for n = 2..n_max
+    rho_hat: tuple            # rho_hat[n] for n = 1..n_max-1
     omega_estimate: float     # tail sup of omega_hat
     rho_estimate: float       # tail inf of rho_hat
     closed_form_omega: float | None
@@ -101,7 +100,14 @@ class OmegaRhoEstimates:
 
 
 def _ratio(num, den):
-    return np.divide(num, den, out=np.where(num > 0, np.inf, np.nan), where=den != 0)
+    if den != 0:
+        return num / den
+    return math.inf if num > 0 else math.nan
+
+
+def _tail_extreme(pick, values):
+    """``pick`` (max or min) of ``values``, or nan if any of them is nan."""
+    return math.nan if any(map(math.isnan, values)) else pick(values)
 
 
 def seq_omega_rho(seq: GrowthSequence, n_max=None, inflation_k=1.0) -> OmegaRhoEstimates:
@@ -118,28 +124,23 @@ def seq_omega_rho(seq: GrowthSequence, n_max=None, inflation_k=1.0) -> OmegaRhoE
         raise ValueError("sequence is not admissible (s_n must tend to infinity)")
     if not 0 < inflation_k < math.inf:
         raise ValueError("inflation constant must be positive and finite")
-    logs = np.asarray(seq.log_s, dtype=float)
-    if n_max is not None:
-        if n_max < 3:
-            raise ValueError("n_max must be >= 3")
-        logs = logs[:n_max]
-    n = len(logs)
-    partial = np.cumsum(logs)             # L_n = log(s_1 ... s_n)
+    if n_max is not None and n_max < 3:
+        raise ValueError("n_max must be >= 3")
+    logs = tuple(map(float, seq.log_s[:n_max]))
+    partial = tuple(accumulate(logs))     # L_n = log(s_1 ... s_n)
     log_k = math.log(inflation_k)
 
     # a ratio over a zero denominator (leading terms s_k = 1) is inf, or nan
     # (undefined) when its numerator is 0 too
-    omega_hat = _ratio(logs[1:], 2.0 * partial[:-1])
-    rho_hat = _ratio(partial[:-1],
-                     2.0 * (np.arange(1, n) * log_k + partial[:-1]) + logs[1:])
+    omega_hat = tuple(_ratio(nxt, 2.0 * part) for nxt, part in zip(logs[1:], partial))
+    rho_hat = tuple(_ratio(part, 2.0 * (k * log_k + part) + nxt)
+                    for k, (nxt, part) in enumerate(zip(logs[1:], partial), start=1))
 
-    half_w = max(0, len(omega_hat) // 2)
-    half_r = max(0, len(rho_hat) // 2)
     return OmegaRhoEstimates(
         omega_hat=omega_hat,
         rho_hat=rho_hat,
-        omega_estimate=float(np.max(omega_hat[half_w:])),
-        rho_estimate=float(np.min(rho_hat[half_r:])),
+        omega_estimate=_tail_extreme(max, omega_hat[len(omega_hat) // 2:]),
+        rho_estimate=_tail_extreme(min, rho_hat[len(rho_hat) // 2:]),
         closed_form_omega=seq.closed_form_omega,
         closed_form_rho=seq.closed_form_rho,
     )

@@ -1,12 +1,11 @@
-"""Shared numerical helpers: bracketed root finding and power iteration."""
+"""Shared numerical helpers: the library's error types and bracketed root finding."""
 
 from __future__ import annotations
 
 import math
+import sys
 
-import numpy as np
-
-_EPS = float(np.finfo(float).eps)
+_EPS = sys.float_info.epsilon
 
 
 class NumericError(RuntimeError):
@@ -76,30 +75,4 @@ def bracketed_root(f, lo, hi, xtol=1e-10, max_iter=300, flo=None, fhi=None):
     raise NumericError(
         f"root finder did not converge in {max_iter} steps on [{lo}, {hi}] "
         f"(best point {b!r}, f={fb!r})"
-    )
-
-
-def power_iteration(mat, tol=1e-12, max_iter=200_000, v0=None):
-    """Dominant eigenvalue of a square matrix by plain power iteration.
-
-    Returns (eigenvalue, eigenvector, iterations).  Convergence is declared
-    when the Rayleigh quotient moves by less than ``tol * max(1, |lam|)``.
-    Raises NumericError with diagnostics if the iteration does not settle.
-    """
-    n = mat.shape[0]
-    v = np.full(n, 1.0 / math.sqrt(n)) if v0 is None else v0 / np.linalg.norm(v0)
-    lam_prev = None
-    for it in range(1, max_iter + 1):
-        w = mat @ v
-        nrm = np.linalg.norm(w)
-        if nrm == 0.0 or not np.isfinite(nrm):
-            raise NumericError(f"power iteration degenerated at step {it} (norm={nrm})")
-        lam = float(v @ w)
-        v = w / nrm
-        if lam_prev is not None and abs(lam - lam_prev) <= tol * max(1.0, abs(lam)):
-            return lam, v, it
-        lam_prev = lam
-    raise NumericError(
-        f"power iteration did not converge in {max_iter} steps "
-        f"(last eigenvalue estimate {lam_prev!r}, matrix size {n})"
     )

@@ -240,6 +240,37 @@ def test_non_finite_tolerance_and_kappa_exit_code(argv, cfg_text, code, tmp_path
     assert err.count("\n") == (1 if code else 0), err
 
 
+@pytest.mark.parametrize("argv, cfg_text, code", [
+    (["dim-fn", "2", "--tol", "1e300"], None, 2),
+    (["dim-fn", "2"], "power_tol = 0.5\n", 2),
+    (["dim-fn", "2", "--tol", "1e-3"], None, 0),
+], ids=["tol-1e300", "config-power_tol-0.5", "tol-1e-3"])
+def test_tolerance_range_exit_code(argv, cfg_text, code, tmp_path, capsys):
+    # tolerances must lie in (0, 1e-3]: a coarser one returns the crude bracket
+    if cfg_text is not None:
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(cfg_text)
+        argv = [*argv, "--config", str(cfgfile)]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == (1 if code else 0), err
+    if code:
+        assert "tol must lie in (0, 0.001]" in err
+
+
+def test_frostman_nan_kappa_message_names_kappa(capsys):
+    assert main(["frostman", "good:tau=10,kappa=nan", "--samples", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "kappa" in err and err.count("\n") == 1, err
+
+
+def test_dim_seq_leading_unit_terms_give_nan_estimates(capsys):
+    assert main(["dim-seq", "explicit:1,1,1,1,1,3", "--n-max", "6"]) == 0
+    out = capsys.readouterr().out
+    assert "# omega_estimate=nan" in out.splitlines()
+    assert "# rho_estimate=nan" in out.splitlines()
+
+
 def test_out_dir_and_svg(tmp_path):
     assert main(["spectrum", "0.75", "--grid", "11", "--svg",
                  "--out", str(tmp_path)]) == 0
@@ -277,26 +308,30 @@ def test_csv_byte_determinism_across_runs_and_threads(tmp_path):
     assert outs[0] == outs[1] == outs[2]
 
 
-_SCIPY_PROBE = ("import sys, cusplab, cusplab.cli; "
-                "code = cusplab.cli.main(sys.argv[1:]); "
-                "print(code, 'scipy' in sys.modules)")
+_IMPORT_PROBE = ("import sys, cusplab, cusplab.cli; "
+                 "code = cusplab.cli.main(sys.argv[1:]) if sys.argv[1:] else 0; "
+                 "print(code, 'numpy' in sys.modules, 'scipy' in sys.modules)")
 
 
-@pytest.mark.parametrize("argv", [
-    ["cf", "3/10", "--n", "8"],
-    ["cf", "sqrt:2-1/1", "--n", "12"],
-    ["excursions", "(2)", "--horizon", "40", "--tau", "1", "--kappa", "5"],
-    ["dim-seq", "loggeom:alpha=2,base=2", "--n-max", "30"],
-    ["spectrum", "0.75", "--grid", "201", "--svg"],
-    ["frostman", "good:tau=10,kappa=2", "--samples", "120", "--seed", "7"],
-    ["dim-fn", "2", "--nodes", "8", "--tol", "1e-6"],
+@pytest.mark.parametrize("argv, numpy_loaded, scipy_loaded", [
+    (["cf", "3/10", "--n", "8"], False, False),
+    (["cf", "sqrt:2-1/1", "--n", "12"], False, False),
+    (["excursions", "(2)", "--horizon", "40", "--tau", "1", "--kappa", "5"], False, False),
+    (["dim-seq", "loggeom:alpha=2,base=2", "--n-max", "30"], False, False),
+    (["spectrum", "0.75", "--grid", "201", "--svg"], False, False),
+    (["frostman", "good:tau=10,kappa=2", "--samples", "120", "--seed", "7"], True, False),
+    (["dim-fn", "2", "--nodes", "8", "--tol", "1e-6"], True, True),
+    ([], False, False),
 ], ids=["cf-rational", "cf-quadratic", "excursions", "dim-seq", "spectrum", "frostman",
-        "dim-fn"])
-def test_scipy_imported_only_by_dimension_solves(argv, tmp_path):
-    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *argv, "--out", str(tmp_path)],
+        "dim-fn", "import-only"])
+def test_scipy_imported_only_by_dimension_solves(argv, numpy_loaded, scipy_loaded, tmp_path):
+    # numpy is loaded only by the subcommands that compute with it
+    # (frostman, dim-fn), and scipy only by a dimension solve
+    out = ["--out", str(tmp_path)] if argv else []
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv, *out],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", str(argv[0] == "dim-fn")]
+    assert proc.stdout.split() == ["0", str(numpy_loaded), str(scipy_loaded)]
 
 
 def test_bad_threads_env():

@@ -16,10 +16,11 @@ from cusplab.dimension import (
     crude_critical_exponent,
     good_dimension_sweep,
     jarnik_dimension,
+    power_iteration,
     transfer_dimension,
     ulam_dimension,
 )
-from cusplab.numerics import NumericError, power_iteration
+from cusplab.numerics import NumericError
 
 
 # -- crude exponents -----------------------------------------------------------

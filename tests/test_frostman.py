@@ -101,6 +101,13 @@ def test_good_weight_range_unreachable_kappa_fails_fast():
     assert good_weight_range(1, 4.0)[1] == 2469
 
 
+def test_good_weight_range_rejects_nan_kappa():
+    # NaN fails every comparison, so the check must be "not kappa > 0"
+    for kappa in (math.nan, 0.0, -1.0):
+        with pytest.raises(ValueError, match="kappa must be positive"):
+            good_weight_range(10, kappa)
+
+
 def test_sample_point_lands_in_support():
     m = good_measure(10, 2.0)
     rng = np.random.Generator(np.random.Philox(key=[3, 0]))

@@ -1,7 +1,10 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cusplab.growth import GrowthSequence, seq_omega_rho
 
@@ -94,3 +97,87 @@ def test_leading_unit_terms_give_nan_and_inf_without_warnings():
     assert np.isnan(est.omega_hat[:2]).all() and est.omega_hat[2] == math.inf
     assert np.isnan(est.rho_hat[:2]).all() and est.rho_hat[2] == 0.0
     assert np.isfinite(est.omega_hat[3:]).all() and np.isfinite(est.rho_hat[3:]).all()
+
+
+# -- bit identity with the former numpy formulas -------------------------------
+
+def numpy_omega_rho(seq, n_max, inflation_k):
+    """seq_omega_rho's estimates as numpy computed them (cumsum, element-wise
+    ratios, np.max/np.min over the tail halves)."""
+    logs = np.asarray(seq.log_s, dtype=float)[:n_max]
+    n = len(logs)
+    log_k = math.log(inflation_k)
+
+    def ratio(num, den):
+        return np.divide(num, den, out=np.where(num > 0, np.inf, np.nan), where=den != 0)
+
+    with np.errstate(all="ignore"):
+        partial = np.cumsum(logs)
+        omega_hat = ratio(logs[1:], 2.0 * partial[:-1])
+        rho_hat = ratio(partial[:-1],
+                        2.0 * (np.arange(1, n) * log_k + partial[:-1]) + logs[1:])
+        omega_est = float(np.max(omega_hat[len(omega_hat) // 2:]))
+        rho_est = float(np.min(rho_hat[len(rho_hat) // 2:]))
+    return omega_hat.tolist(), rho_hat.tolist(), omega_est, rho_est
+
+
+def bits(values):
+    return [struct.pack("<d", v) for v in values]
+
+
+def assert_matches_numpy(seq, n_max, inflation_k):
+    est = seq_omega_rho(seq, n_max=n_max, inflation_k=inflation_k)
+    omega_hat, rho_hat, omega_est, rho_est = numpy_omega_rho(seq, n_max, inflation_k)
+    assert isinstance(est.omega_hat, tuple) and isinstance(est.rho_hat, tuple)
+    assert bits(est.omega_hat) == bits(omega_hat)
+    assert bits(est.rho_hat) == bits(rho_hat)
+    # Where np.max/np.min pick among equal values, their choice follows the
+    # SIMD reduction order: the sign of a nan result, and of a zero result
+    # from a tail holding both 0.0 and -0.0.  Only the value is compared then.
+    assert math.isnan(est.omega_estimate) == math.isnan(omega_est)
+    if not math.isnan(omega_est):
+        assert bits([est.omega_estimate]) == bits([omega_est])
+    zero_signs = {math.copysign(1.0, v) for v in rho_hat[len(rho_hat) // 2:] if v == 0.0}
+    assert math.isnan(est.rho_estimate) == math.isnan(rho_est)
+    if rho_est == 0.0 and len(zero_signs) == 2:
+        assert est.rho_estimate == 0.0
+    elif not math.isnan(rho_est):
+        assert bits([est.rho_estimate]) == bits([rho_est])
+
+
+_INFLATION = st.one_of(st.just(1.0), st.floats(1e-3, 1e3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ones=st.integers(0, 12),
+       rest=st.lists(st.floats(1.0, 1e6), min_size=2, max_size=30),
+       n_max=st.integers(3, 45), inflation_k=_INFLATION)
+def test_explicit_with_leading_ones_matches_numpy(ones, rest, n_max, inflation_k):
+    values = [1.0] * ones + sorted(rest) + [2.0 * max(rest) + 1.0]
+    assert_matches_numpy(GrowthSequence.explicit(values), n_max, inflation_k)
+
+
+_GENERATED = st.one_of(
+    st.builds(GrowthSequence.log_geometric, st.floats(1.01, 4.0), st.integers(3, 60),
+              base=st.floats(1.01, 1e3)),
+    st.builds(GrowthSequence.geometric, st.integers(2, 10 ** 6), st.integers(3, 400)),
+    st.builds(GrowthSequence.polynomial, st.floats(1.0, 50.0), st.integers(3, 400)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seq=_GENERATED, n_max=st.one_of(st.none(), st.integers(3, 400)),
+       inflation_k=st.floats(1e-3, 1e3).filter(lambda k: k != 1.0))
+def test_generated_sequences_match_numpy(seq, n_max, inflation_k):
+    assert_matches_numpy(seq, n_max, inflation_k)
+
+
+def test_overflowing_partial_products_match_numpy():
+    # log(s_1 ... s_n) overflows to inf, so the last rho_hat are inf/inf = nan
+    # behind finite ones in the tail: the tail infimum must still be nan
+    seq = GrowthSequence(tuple(map(float, range(1, 16))) + tuple(k * 1e307 for k in range(10, 15)))
+    est = seq_omega_rho(seq)
+    tail = est.rho_hat[len(est.rho_hat) // 2:]
+    assert math.isfinite(tail[0]) and math.isnan(tail[-1]) and math.isnan(est.rho_estimate)
+    assert_matches_numpy(seq, None, 1.0)
+    assert_matches_numpy(seq, None, 0.5)
