@@ -301,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cf", parents=[common], help="digits and convergents")
     p.add_argument("x", help="number spec: p/q | sqrt:D(+|-)r/s | (a,b,...) | a1,a2,...")
-    p.add_argument("--n", type=int, default=12, help="number of digits")
+    p.add_argument("--n", type=int, default=12, help="number of digits, >= 0")
     p.set_defaults(func=cmd_cf)
 
     p = sub.add_parser("excursions", parents=[common], help="excursion trace table")

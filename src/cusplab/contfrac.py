@@ -14,6 +14,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import takewhile
 
 from .halfplane import INFINITY, Horoball
 from .numerics import InsufficientDigitsError
@@ -29,19 +30,16 @@ class ContinuedFraction:
     that are trustworthy (None means every digit is exact).
     """
 
-    def __init__(self, prefix, period=(), int_part=0, reliable=None):
+    def __init__(self, prefix, period=(), reliable=None):
         prefix = tuple(int(a) for a in prefix)
         period = tuple(int(a) for a in period)
         for a in prefix + period:
             if a < 1:
                 raise ValueError(f"continued fraction digits must be >= 1, got {a}")
-        if int_part != 0:
-            raise ValueError("only numbers in (0, 1) are supported (integer part 0)")
         if not prefix and not period:
             raise ValueError("empty digit sequence")
         self.prefix = prefix
         self.period = period
-        self.int_part = int_part
         self.reliable = reliable
 
     # -- constructors ------------------------------------------------------
@@ -66,26 +64,24 @@ class ContinuedFraction:
 
         Digits are flagged unreliable once the convergent denominators exhaust
         the precision of the input: two reals within eps share their first
-        digits only while q_n * q_{n+1} < 1/(4 eps).
+        digits only while q_n * q_{n+1} < 1/(4 eps).  ``reliable`` counts the
+        leading digits with q_n^2 < 1/(4 eps), eps half an ulp of x.
         """
         x = float(x)
         if not 0.0 < x < 1.0:
             raise ValueError(f"from_float needs a value in (0, 1), got {x}")
-        eps = 0.5 * math.ulp(x)
-        budget = 0.25 / eps
+        # 1/(4 eps) = 1/(2 ulp), a power of two; an int, as the float
+        # overflows for subnormal x
+        budget = 1 << -math.frexp(math.ulp(x))[1]
         frac = Fraction(x)
         num, den = frac.numerator, frac.denominator
         digits = []
-        q_prev, q_cur = 0, 1
-        reliable = 0
         while num and len(digits) < max_digits:
             a, rem = divmod(den, num)
             digits.append(a)
-            q_prev, q_cur = q_cur, a * q_cur + q_prev
-            if q_cur * q_cur < budget and reliable == len(digits) - 1:
-                reliable = len(digits)
             den, num = num, rem
-        return cls(digits, reliable=reliable)
+        trusted = takewhile(lambda pq: pq[1] * pq[1] < budget, convergent_pairs(digits))
+        return cls(digits, reliable=sum(1 for _ in trusted))
 
     @classmethod
     def from_periodic(cls, preperiod, period):
@@ -144,7 +140,10 @@ class ContinuedFraction:
         return len(self.prefix) if self.terminating else INFINITY
 
     def digits(self, n):
-        """First n digits as a list; raises if a terminating expansion is shorter."""
+        """First n >= 0 digits as a list; raises if a terminating expansion
+        is shorter."""
+        if n < 0:
+            raise ValueError(f"digit count must be >= 0, got {n}")
         if n <= len(self.prefix):
             return list(self.prefix[:n])
         if self.terminating:
@@ -201,9 +200,6 @@ class Convergent:
     def value(self) -> float:
         return self.p / self.q
 
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.p, self.q)
-
 
 def cf_expand(x, n) -> ContinuedFraction:
     """Expand x in (0, 1) to (at least) n digits.
@@ -225,17 +221,21 @@ def cf_expand(x, n) -> ContinuedFraction:
     raise TypeError(f"cannot expand {x!r}")
 
 
-def convergents(cf: ContinuedFraction, n):
-    """First n convergents p_k/q_k via the standard recurrence."""
-    ds = cf.digits(n)
-    out = []
-    p_prev, q_prev = 1, 0
-    p_cur, q_cur = 0, 1
-    for a in ds:
+def convergent_pairs(digits):
+    """Yield (p_k, q_k), k = 1, 2, ..., for the digits a_1, a_2, ... by the
+    standard recurrence p_k = a_k p_{k-1} + p_{k-2}, likewise q_k, from
+    p_{-1}/q_{-1} = 1/0 and p_0/q_0 = 0/1."""
+    p_prev, p_cur = 1, 0
+    q_prev, q_cur = 0, 1
+    for a in digits:
         p_prev, p_cur = p_cur, a * p_cur + p_prev
         q_prev, q_cur = q_cur, a * q_cur + q_prev
-        out.append(Convergent(p_cur, q_cur))
-    return out
+        yield p_cur, q_cur
+
+
+def convergents(cf: ContinuedFraction, n):
+    """First n convergents p_k/q_k."""
+    return [Convergent(p, q) for p, q in convergent_pairs(cf.digits(n))]
 
 
 def ford_circle(p, q) -> Horoball:

@@ -29,11 +29,12 @@ c_n = p_n/q_n is one big-integer division per step until p_n reaches 2^64,
 after which its rounded value no longer changes; log q_n is the log of a big
 integer, which costs O(1).  No step squares or divides big integers beyond
 that, so a trace costs the big-integer recurrence for p_n and q_n (kept for
-the records) plus O(1) float work per excursion.  Complete quotients come
-from backward evaluation in floats, where a digit beyond float range gives
-inf, and a complete quotient x beyond 2^500 enters only through its log:
-the crossings are A_n + 1/x and x, the depth log x - log 2 and the exit
-distance 2 log x - log Y_n, all to double precision.
+the records; it lives in ``contfrac.convergent_pairs``) plus O(1) float work
+per excursion.  Complete quotients come from backward evaluation in floats,
+where a digit beyond float range gives inf, and a complete quotient x beyond
+2^500 enters only through its log: the crossings are A_n + 1/x and x, the
+depth log x - log 2 and the exit distance 2 log x - log Y_n, all to double
+precision.
 
 Depths can be formally non-positive (the ray misses the convergent's ball,
 possible whenever the governing digit is 1); such balls are recorded as
@@ -45,10 +46,11 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from itertools import accumulate
 
-from .contfrac import ContinuedFraction, complete_quotients
+from .contfrac import ContinuedFraction, complete_quotients, convergent_pairs
 from .halfplane import chord_length
-from .numerics import InsufficientDigitsError
+from .numerics import InsufficientDigitsError, tail_extreme
 
 _LOOKAHEAD = 44  # extra digits used to evaluate complete quotients
 _HUGE_QUOTIENT = 2.0 ** 500  # beyond it, a complete quotient enters via its log
@@ -85,9 +87,8 @@ class ExcursionTrace:
     def entered(self):
         return [r for r in self.records if r.entered]
 
-    def depths(self, entered_only=True):
-        recs = self.entered() if entered_only else self.records
-        return [r.depth for r in recs]
+    def depths(self):
+        return [r.depth for r in self.entered()]
 
     def times(self):
         return [r.time for r in self.entered()]
@@ -138,16 +139,13 @@ def excursion_trace(cf: ContinuedFraction, horizon: int) -> ExcursionTrace:
 def _excursion_rows(ds, quot, xi, horizon):
     """(n, p_n, q_n, a_{n+1}, depth, entry_dist, exit_dist) for n = 1..horizon,
     the distances None where the ray misses the ball."""
-    p_prev, p_cur = 1, 0    # p_{-1}, p_0
-    q_prev, q_cur = 0, 1    # q_{-1}, q_0
     cn, r = 0.0, 0.0        # p_0/q_0, q_{-1}/q_0
-    for n in range(1, horizon + 1):
-        a = ds[n - 1]
-        p_prev, p_cur = p_cur, a * p_cur + p_prev
-        q_prev, q_cur = q_cur, a * q_cur + q_prev
+    settled = False         # p_{n-1} >= 2^64
+    for n, (a, (p_cur, q_cur)) in enumerate(zip(ds[:horizon], convergent_pairs(ds)), 1):
         cnm = cn
-        if p_prev < _RATIO_SETTLED:
+        if not settled:
             cn = p_cur / q_cur
+            settled = p_cur >= _RATIO_SETTLED
         # q_{n-1}/q_n; below 2^-1024 after a digit beyond float range
         r = 1.0 / (a + r) if a <= _FLOAT_MAX else 0.0
         A = -r * (1.0 + xi * cnm) / (1.0 + xi * cn)
@@ -234,14 +232,10 @@ def synthesize_trace(depths, gap=0.25, initial=1.0) -> ExcursionTrace:
 def gap_bound_estimate(traces) -> float:
     """Empirical bound on inter-excursion travel: the maximum observed gap
     across a sample of traces."""
-    best = None
-    for tr in traces:
-        for g in tr.gaps():
-            if best is None or g > best:
-                best = g
-    if best is None:
+    gaps = [g for tr in traces for g in tr.gaps()]
+    if not gaps:
         raise ValueError("no gaps observed (need traces with >= 2 entered excursions)")
-    return best
+    return max(gaps)
 
 
 @dataclass(frozen=True)
@@ -282,29 +276,17 @@ def corridor_membership(trace: ExcursionTrace, tau_lo: float, tau_hi: float,
 
 @dataclass(frozen=True)
 class JarnikRatios:
-    """Finite-horizon limsup data for the two excursion ratio forms.
+    """Finite-horizon limsup estimates for the two excursion ratio forms,
+    each the supremum over the second half of the entered excursions
+    (``numerics.tail_extreme``).
 
-    ``depth_over_time`` is d_n / t_n; ``depth_over_sum`` is
-    d_n / (2 (d_1 + ... + d_{n-1})).  The two tail suprema estimate theta and
-    theta/(1-theta) respectively; ``theta_hat`` and ``ratio_hat`` are the
-    suprema over the second half of the horizon.
+    ``theta_hat``: of d_n / t_n, estimating theta.
+    ``ratio_hat``: of d_n / (2 (d_1 + ... + d_{n-1})), estimating
+    theta / (1 - theta).
     """
 
-    depth_over_time: list
-    depth_over_sum: list
-    tail_sup_time: list
-    tail_sup_sum: list
     theta_hat: float
     ratio_hat: float
-
-
-def _tail_sup(values):
-    out = [0.0] * len(values)
-    run = -math.inf
-    for i in range(len(values) - 1, -1, -1):
-        run = max(run, values[i])
-        out[i] = run
-    return out
 
 
 def jarnik_ratios(trace: ExcursionTrace) -> JarnikRatios:
@@ -312,18 +294,9 @@ def jarnik_ratios(trace: ExcursionTrace) -> JarnikRatios:
     if len(recs) < 2:
         raise ValueError("need at least two entered excursions")
     d = [r.depth for r in recs]
-    t = [r.time for r in recs]
-    dot = [di / ti for di, ti in zip(d, t)]
-    dos = []
-    acc = d[0]
-    for n in range(1, len(d)):
-        dos.append(d[n] / (2.0 * acc))
-        acc += d[n]
-    sup_t = _tail_sup(dot)
-    sup_s = _tail_sup(dos)
-    theta_hat = sup_t[len(dot) // 2]
-    ratio_hat = sup_s[len(dos) // 2]
-    return JarnikRatios(dot, dos, sup_t, sup_s, theta_hat, ratio_hat)
+    over_time = [r.depth / r.time for r in recs]
+    over_sum = [dn / (2.0 * acc) for dn, acc in zip(d[1:], accumulate(d))]
+    return JarnikRatios(tail_extreme(max, over_time), tail_extreme(max, over_sum))
 
 
 def theta_to_ratio(theta: float) -> float:

@@ -22,8 +22,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
+
+from .contfrac import convergent_pairs
 
 
 @dataclass(frozen=True)
@@ -48,6 +51,8 @@ class CylinderMeasure:
     @classmethod
     def from_rule(cls, lo, hi, rule="inverse_successor"):
         lo, hi = int(lo), int(hi)
+        if lo < 1 or hi < lo:  # before 1/(a+1) meets a = -1
+            raise ValueError("need 1 <= lo <= hi")
         a = np.arange(lo, hi + 1, dtype=float)
         if rule == "inverse_successor":
             raw = 1.0 / (a + 1.0)
@@ -63,12 +68,10 @@ class CylinderMeasure:
             return self.weights[digit - self.lo]
         return 0.0
 
+    @cached_property
     def _suffix(self):
-        # mass of digits strictly greater than a given digit, cached lazily
-        if not hasattr(self, "_suffix_arr"):
-            arr = np.concatenate([np.cumsum(self.weights[::-1])[::-1][1:], [0.0]])
-            object.__setattr__(self, "_suffix_arr", arr)
-        return self._suffix_arr
+        # mass of the digits strictly greater than each digit lo..hi
+        return np.concatenate([np.cumsum(self.weights[::-1])[::-1][1:], [0.0]])
 
     def mass_above(self, digit: int) -> float:
         """Total weight of digits strictly greater than ``digit``."""
@@ -76,7 +79,7 @@ class CylinderMeasure:
             return 1.0
         if digit >= self.hi:
             return 0.0
-        return float(self._suffix()[digit - self.lo])
+        return float(self._suffix[digit - self.lo])
 
 
 def good_weight_range(tau, kappa):
@@ -108,11 +111,13 @@ def good_measure(tau, kappa) -> CylinderMeasure:
 
 
 _ATOM_TOL = 1e-18
+_CDF_MAX_DEPTH = 64
 
 
-def cdf(measure: CylinderMeasure, x, max_depth=64) -> float:
+def cdf(measure: CylinderMeasure, x) -> float:
     """Mass of {xi <= x}.  Exact rational descent; the recursion stops once
-    the remaining cylinder mass drops below 1e-18 (documented atom cutoff)."""
+    the remaining cylinder mass drops below 1e-18 (documented atom cutoff),
+    or after 64 levels."""
     x = Fraction(x)
     if x <= 0:
         return 0.0
@@ -120,7 +125,7 @@ def cdf(measure: CylinderMeasure, x, max_depth=64) -> float:
         return 1.0
     total, scale, flipped = 0.0, 1.0, False
     y = x
-    for _ in range(max_depth):
+    for _ in range(_CDF_MAX_DEPTH):
         d = math.floor(1 / y)
         below = measure.mass_above(d)       # digits left of y in local coords
         inside = measure.weight(d)
@@ -159,11 +164,8 @@ def sample_point(measure: CylinderMeasure, rng, depth) -> Fraction:
     cum = np.cumsum(probs)
     u = rng.random(depth)
     digits = measure.lo + np.searchsorted(cum, u * cum[-1])
-    p_prev, q_prev, p_cur, q_cur = 1, 0, 0, 1
-    for a in digits:
-        p_prev, p_cur = p_cur, int(a) * p_cur + p_prev
-        q_prev, q_cur = q_cur, int(a) * q_cur + q_prev
-    return Fraction(p_cur, q_cur)
+    *_, (p, q) = convergent_pairs(digits.tolist())
+    return Fraction(p, q)
 
 
 @dataclass(frozen=True)

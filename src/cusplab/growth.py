@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass, field
 from itertools import accumulate
 
+from .numerics import tail_extreme
+
 
 @dataclass(frozen=True)
 class GrowthSequence:
@@ -105,11 +107,6 @@ def _ratio(num, den):
     return math.inf if num > 0 else math.nan
 
 
-def _tail_extreme(pick, values):
-    """``pick`` (max or min) of ``values``, or nan if any of them is nan."""
-    return math.nan if any(map(math.isnan, values)) else pick(values)
-
-
 def seq_omega_rho(seq: GrowthSequence, n_max=None, inflation_k=1.0) -> OmegaRhoEstimates:
     """Finite-n estimates of omega (limsup form) and rho (liminf form).
 
@@ -139,8 +136,8 @@ def seq_omega_rho(seq: GrowthSequence, n_max=None, inflation_k=1.0) -> OmegaRhoE
     return OmegaRhoEstimates(
         omega_hat=omega_hat,
         rho_hat=rho_hat,
-        omega_estimate=_tail_extreme(max, omega_hat[len(omega_hat) // 2:]),
-        rho_estimate=_tail_extreme(min, rho_hat[len(rho_hat) // 2:]),
+        omega_estimate=tail_extreme(max, omega_hat),
+        rho_estimate=tail_extreme(min, rho_hat),
         closed_form_omega=seq.closed_form_omega,
         closed_form_rho=seq.closed_form_rho,
     )

@@ -47,10 +47,6 @@ class HPoint:
     def z(self) -> complex:
         return complex(self.x, self.y)
 
-    @classmethod
-    def from_complex(cls, w: complex) -> "HPoint":
-        return cls(w.real, w.imag)
-
 
 BASE_POINT = HPoint(0.0, 1.0)
 
@@ -193,21 +189,6 @@ class Geodesic:
         if not self.is_vertical:
             raise ValueError("foot is defined for vertical geodesics only")
         return self.end if is_infinite(self.start) else self.start
-
-    @property
-    def center(self) -> float:
-        if self.is_vertical:
-            raise ValueError("vertical geodesics have no Euclidean center")
-        return 0.5 * (self.start + self.end)
-
-    @property
-    def radius(self) -> float:
-        if self.is_vertical:
-            return INFINITY
-        return 0.5 * abs(self.end - self.start)
-
-    def reversed(self) -> "Geodesic":
-        return Geodesic(self.end, self.start)
 
 
 def geodesic_through(z: HPoint, w: HPoint) -> Geodesic:

@@ -1,4 +1,5 @@
-"""Shared numerical helpers: the library's error types and bracketed root finding."""
+"""Shared numerical helpers: the library's error types, the tail estimator
+and bracketed root finding."""
 
 from __future__ import annotations
 
@@ -14,6 +15,14 @@ class NumericError(RuntimeError):
 
 class InsufficientDigitsError(ValueError):
     """An operation needed more (reliable) continued-fraction digits than available."""
+
+
+def tail_extreme(pick, values):
+    """``pick`` (max or min) over the second half ``values[len(values)//2:]``,
+    the finite-horizon estimate of a limsup or liminf; nan if any value there
+    is nan."""
+    tail = values[len(values) // 2:]
+    return math.nan if any(map(math.isnan, tail)) else pick(tail)
 
 
 def bracketed_root(f, lo, hi, xtol=1e-10, max_iter=300, flo=None, fhi=None):

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .numerics import tail_extreme
+
 
 class DegenerateSpectrumError(ValueError):
     """delta = 1 collapses the spectrum interval to a point."""
@@ -132,7 +134,10 @@ def local_dim_sequence(trace, delta) -> LocalDimensionEstimate:
     along a trace, with the tail infimum over the second half as the
     finite-horizon liminf estimate.  That liminf is
     delta - (1 - delta) limsup d_n / t_n = theta_to_beta(theta), the level
-    indexed by the limsup ratio theta of ``jarnik_ratios``.
+    indexed by the limsup ratio theta of ``jarnik_ratios``.  Each beta_n is
+    ``theta_to_beta(d_n / t_n, delta)``, a map that stays monotone under float
+    rounding, so the estimate equals
+    ``theta_to_beta(jarnik_ratios(trace).theta_hat, delta)`` exactly.
 
     The unknown comparability constant c of the measure formula only enters
     as c / t_n -> 0, so it is dropped rather than modeled.
@@ -141,5 +146,5 @@ def local_dim_sequence(trace, delta) -> LocalDimensionEstimate:
     recs = trace.entered()
     if len(recs) < 2:
         raise ValueError("need at least two entered excursions")
-    betas = [delta - (1.0 - delta) * r.depth / r.time for r in recs]
-    return LocalDimensionEstimate(betas, min(betas[len(betas) // 2:]))
+    betas = [theta_to_beta(r.depth / r.time, delta) for r in recs]
+    return LocalDimensionEstimate(betas, tail_extreme(min, betas))

@@ -87,6 +87,12 @@ def test_cf_bad_spec_exit_code():
     assert main(["cf", "0/0"]) == 2
 
 
+def test_cf_negative_digit_count_exit_code():
+    proc = run_cli("cf", "3/10", "--n", "-1")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "cusplab: digit count must be >= 0, got -1\n"
+
+
 def test_excursions_bounded_type(capsys):
     assert main(["excursions", "(2)", "--horizon", "20", "--kappa", "5", "--tau", "1"]) == 0
     out = capsys.readouterr().out

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cusplab as cl
@@ -67,6 +67,48 @@ def test_float_matches_exact_binary_rational():
     assert f.digits(k) == oracle.digits(k)
     assert f.digits(2) == [3, 2]
     assert f.reliable >= 1
+
+
+def _from_float_reference(x, max_digits):
+    """Euclid and the q_n recurrence interleaved in one loop, against the
+    exact rational 1/(4 eps), eps half an ulp of x."""
+    budget = Fraction(1, 2) / Fraction(math.ulp(x))
+    frac = Fraction(x)
+    num, den = frac.numerator, frac.denominator
+    digits = []
+    q_prev, q_cur = 0, 1
+    reliable = 0
+    while num and len(digits) < max_digits:
+        a, rem = divmod(den, num)
+        digits.append(a)
+        q_prev, q_cur = q_cur, a * q_cur + q_prev
+        if q_cur * q_cur < budget and reliable == len(digits) - 1:
+            reliable = len(digits)
+        den, num = num, rem
+    return tuple(digits), reliable
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+       st.integers(min_value=1, max_value=80))
+@example(5e-324, 3)   # subnormals: half an ulp underflows to 0 in floats
+@example(1e-310, 80)
+@example(0.3, 80)
+@example(1.0 - 2.0 ** -53, 80)
+def test_from_float_matches_interleaved_loop(x, max_digits):
+    cf = ContinuedFraction.from_float(x, max_digits=max_digits)
+    assert (cf.prefix, cf.reliable) == _from_float_reference(x, max_digits)
+
+
+def test_digit_count_must_be_nonnegative():
+    cf = ContinuedFraction([1, 2, 3])
+    assert cf.digits(0) == [] and cl.convergents(cf, 0) == []
+    with pytest.raises(ValueError, match=">= 0"):
+        cf.digits(-1)
+    with pytest.raises(ValueError, match=">= 0"):
+        cl.convergents(cf, -2)
+    with pytest.raises(ValueError, match=">= 0"):
+        ContinuedFraction.from_periodic((), (2,)).digits(-3)
 
 
 def test_periodic_lazy_expansion():

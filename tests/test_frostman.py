@@ -80,6 +80,12 @@ def test_weights_validation():
         CylinderMeasure(2, 3, (0.5,))
     with pytest.raises(ValueError):
         CylinderMeasure.from_rule(2, 4, "mystery")
+    # rejected before the weights are computed: 1/(a+1) at a = -1 would
+    # divide by zero
+    with pytest.raises(ValueError, match="1 <= lo <= hi"):
+        CylinderMeasure.from_rule(-1, 3)
+    with pytest.raises(ValueError, match="1 <= lo <= hi"):
+        CylinderMeasure.from_rule(5, 4, "uniform")
 
 
 def test_good_weight_range_rule():

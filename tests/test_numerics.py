@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from cusplab.numerics import bracketed_root
+from cusplab.numerics import bracketed_root, tail_extreme
 
 
 def counted(f):
@@ -55,3 +55,24 @@ def test_bracketed_root_evaluation_budget():
     g, calls = counted(lambda s: math.exp(s) - 2.0)
     bracketed_root(g, 0.0, 2.0, xtol=1e-10)
     assert len(calls) <= 12
+
+
+@pytest.mark.parametrize("values, tail_max, tail_min", [
+    ([5.0, 1.0, 3.0, 2.0], 3.0, 2.0),        # even length: the tail is values[2:]
+    ([5.0, 1.0, 3.0, 2.0, 4.0], 4.0, 2.0),   # odd length: the tail is values[2:]
+    ((0.5,), 0.5, 0.5),                      # one value is its own tail
+])
+def test_tail_extreme_second_half(values, tail_max, tail_min):
+    assert tail_extreme(max, values) == tail_max
+    assert tail_extreme(min, values) == tail_min
+
+
+def test_tail_extreme_nan():
+    # a nan in the tail makes the estimate nan, whatever its position; a nan
+    # in the first half is outside the tail and ignored
+    for values in ([1.0, 2.0, math.nan, 3.0], [1.0, 2.0, 3.0, math.nan],
+                   [1.0, 2.0, 3.0, math.nan, 4.0]):
+        assert math.isnan(tail_extreme(max, values))
+        assert math.isnan(tail_extreme(min, values))
+    assert tail_extreme(max, [math.nan, 9.0, 2.0, 3.0]) == 3.0
+    assert tail_extreme(min, (math.nan, 0.0, 2.0, 3.0, 1.0)) == 1.0

@@ -179,10 +179,22 @@ def test_local_dim_oscillating_ratio():
     # negligible elsewhere, so beta_n oscillates between delta and 5/8.  The
     # level indexed by theta = limsup d/t = 1/2 is the tail infimum 5/8, not
     # the tail maximum delta.
-    tr = synthesize_trace(_spike_depths(1000, ratio=1.0), gap=0.3)
-    est = local_dim_sequence(tr, 0.75)
+    spike = synthesize_trace(_spike_depths(1000, ratio=1.0), gap=0.3)
+    est = local_dim_sequence(spike, 0.75)
     assert est.tail_liminf == pytest.approx(0.625, abs=0.01)
-    assert est.tail_liminf == theta_to_beta(jarnik_ratios(tr).theta_hat, 0.75)
+    # the identity is exact for every delta, not only where 1 - delta is a
+    # power of two, on this file's traces
+    traces = {
+        "log": synthesize_trace([math.log(n + 2) for n in range(400)], gap=0.3),
+        "2^n": synthesize_trace([(2.0 ** n) * math.log(2) for n in range(1, 600)], gap=0.3),
+        "3^n": synthesize_trace([(3.0 ** n) * math.log(2) for n in range(1, 600)], gap=0.3),
+        "spike": spike,
+    }
+    for name, tr in traces.items():
+        theta_hat = jarnik_ratios(tr).theta_hat
+        for delta in (0.55, 0.6, 0.75, 0.9):
+            assert (local_dim_sequence(tr, delta).tail_liminf
+                    == theta_to_beta(theta_hat, delta)), (name, delta)
 
 
 def test_local_dim_degenerate():
