@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .config import resolve_config
-from .contfrac import ContinuedFraction, convergents
+from .contfrac import ContinuedFraction, convergent_pairs
 from .excursions import excursion_trace, good_membership, jarnik_ratios
 from .growth import GrowthSequence, seq_omega_rho
 from .numerics import InsufficientDigitsError, NumericError
@@ -101,7 +101,7 @@ def parse_generator_spec(spec: str) -> "GrowthSequence | None":
         return lambda n: GrowthSequence.polynomial(k, n)
     if kind == "explicit":
         values = [float(t) for t in body.split(",") if t.strip()]
-        return lambda n: GrowthSequence.explicit(values[:n] if len(values) >= n else values)
+        return lambda n: GrowthSequence.explicit(values[:n])
     raise ValueError(f"unknown generator kind {kind!r}")
 
 
@@ -147,12 +147,11 @@ def cmd_cf(args, cfg):
     avail = cf.available()
     if not math.isinf(avail):
         n = min(n, int(avail))
-    convs = convergents(cf, n)
     digits = cf.digits(n)
     table = ResultTable(["n", "a_n", "p_n", "q_n"],
                         provenance=_provenance(cfg, "cf", {"x": args.x, "n": args.n}))
-    for k, (a, c) in enumerate(zip(digits, convs), start=1):
-        table.add(k, a, c.p, c.q)
+    for k, (a, (p, q)) in enumerate(zip(digits, convergent_pairs(digits)), start=1):
+        table.add(k, a, p, q)
     return table, None
 
 
@@ -222,10 +221,8 @@ def cmd_dim_seq(args, cfg):
                                {"generator": args.generator, "n_max": args.n_max,
                                 "inflation_k": args.inflation_k}))
     cf_rho = est.closed_form_rho
-    for i, rho in enumerate(est.rho_hat, start=1):
-        omega = est.omega_hat[i - 1] if i - 1 < len(est.omega_hat) else float("nan")
-        table.add(i, float(omega), float(rho),
-                  cf_rho if cf_rho is not None else float("nan"))
+    for i, (omega, rho) in enumerate(zip(est.omega_hat, est.rho_hat), start=1):
+        table.add(i, omega, rho, cf_rho if cf_rho is not None else float("nan"))
     table.footer["omega_estimate"] = est.omega_estimate
     table.footer["rho_estimate"] = est.rho_estimate
     return table, None

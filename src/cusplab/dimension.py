@@ -170,6 +170,7 @@ def _diff_matrix(nodes, bw):
 
 
 _TAIL_ORDER = 5  # Taylor terms of the interpolant used for the zeta tail
+_ASSEMBLY_BLOCK = 1 << 22  # basis values (nodes^2 per digit) per assembly chunk
 
 
 class _CollocationOperator:
@@ -200,13 +201,14 @@ class _CollocationOperator:
         k = len(self.x)
         a_lo, a_hi = self.alphabet.lower, self.m_eff
         out = np.zeros((k, k))
-        chunk = 4096
+        chunk = min(4096, max(1, _ASSEMBLY_BLOCK // (k * k)))
         for start in range(a_lo, a_hi + 1, chunk):
             avals = np.arange(start, min(start + chunk, a_hi + 1), dtype=float)
             denom = self.x[:, None] + avals[None, :]          # (k, c)
             wgt = denom ** (-2.0 * s)
-            basis = _basis_at(self.x, self.bw, (1.0 / denom).ravel())
-            out += np.einsum("kc,kcj->kj", wgt, basis.reshape(k, len(avals), k))
+            # a temporary basis block, freed before the next chunk builds its own
+            out += np.einsum("kc,kcj->kj", wgt, _basis_at(
+                self.x, self.bw, (1.0 / denom).ravel()).reshape(k, len(avals), k))
         if self.alphabet.infinite:
             for order in range(_TAIL_ORDER):
                 zet = hurwitz_zeta(2.0 * s + order, self.m_eff + 1.0 + self.x)

@@ -62,9 +62,14 @@ _FLOAT_MAX = sys.float_info.max
 _RATIO_SETTLED = 1 << 64
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ExcursionRecord:
-    """Bookkeeping for the excursion at the n-th convergent (1-based)."""
+    """Bookkeeping for the excursion at the n-th convergent (1-based).
+
+    The trace that builds a record fills its ``gap_to_next``; callers treat
+    records as read-only and take a modified copy with
+    ``dataclasses.replace``.
+    """
 
     index: int
     p: int | None
@@ -132,13 +137,13 @@ def excursion_trace(cf: ContinuedFraction, horizon: int) -> ExcursionTrace:
     ds = cf.digits(n_digits)
     quot = complete_quotients(ds)  # quot[n] = x_{n+1}
     xi = 1.0 / quot[0]
-    records = _build_records(_excursion_rows(ds, quot, xi, horizon))
+    records = list(_excursion_records(ds, quot, xi, horizon))
+    _link_gaps(records)
     return ExcursionTrace(records, horizon, xi=xi)
 
 
-def _excursion_rows(ds, quot, xi, horizon):
-    """(n, p_n, q_n, a_{n+1}, depth, entry_dist, exit_dist) for n = 1..horizon,
-    the distances None where the ray misses the ball."""
+def _excursion_records(ds, quot, xi, horizon):
+    """ExcursionRecords for n = 1..horizon, gaps not yet linked."""
     cn, r = 0.0, 0.0        # p_0/q_0, q_{-1}/q_0
     settled = False         # p_{n-1} >= 2^64
     for n, (a, (p_cur, q_cur)) in enumerate(zip(ds[:horizon], convergent_pairs(ds)), 1):
@@ -154,7 +159,8 @@ def _excursion_rows(ds, quot, xi, horizon):
             R = 0.5 * (B - A)
             depth = math.log(R)
             if R <= 1.0:
-                yield n, p_cur, q_cur, ds[n], depth, None, None
+                yield ExcursionRecord(n, p_cur, q_cur, ds[n], depth,
+                                      False, None, None, None)
                 continue
             m = 0.5 * (A + B)
             s = math.sqrt((R - 1.0) * (R + 1.0))
@@ -175,30 +181,19 @@ def _excursion_rows(ds, quot, xi, horizon):
             exit_dist = 2.0 * log_b - log_y
         else:
             exit_dist = _dist_to_unit_height(X - exit_x, log_y)
-        yield n, p_cur, q_cur, ds[n], depth, entry_dist, exit_dist
+        yield ExcursionRecord(n, p_cur, q_cur, ds[n], depth, True,
+                              entry_dist, exit_dist, entry_dist + depth)
 
 
-def _build_records(rows):
-    """ExcursionRecords from (index, p, q, digit, depth, entry_dist,
-    exit_dist) rows, entry_dist None for a skipped ball.  Each record is
-    built once: an entered one waits in its slot until the next entered row
-    gives its gap."""
-    records = []
-    slot = pending = None
-    for index, p, q, digit, depth, entry_dist, exit_dist in rows:
-        if entry_dist is None:
-            records.append(ExcursionRecord(index, p, q, digit, depth,
-                                           False, None, None, None))
-            continue
-        if pending is not None:  # pending[7] is its exit_dist
-            records[slot] = ExcursionRecord(*pending, entry_dist - pending[7])
-        slot = len(records)
-        pending = (index, p, q, digit, depth, True, entry_dist, exit_dist,
-                   entry_dist + depth)
-        records.append(None)
-    if pending is not None:
-        records[slot] = ExcursionRecord(*pending)
-    return records
+def _link_gaps(records):
+    """Set each entered record's gap_to_next to the travel from its exit to
+    the next entered record's entry; the last entered record keeps None."""
+    prev = None
+    for rec in records:
+        if rec.entered:
+            if prev is not None:
+                prev.gap_to_next = rec.entry_dist - prev.exit_dist
+            prev = rec
 
 
 def synthesize_trace(depths, gap=0.25, initial=1.0) -> ExcursionTrace:
@@ -219,14 +214,15 @@ def synthesize_trace(depths, gap=0.25, initial=1.0) -> ExcursionTrace:
         if len(gaps) < len(depths):
             raise ValueError("need one gap per excursion")
 
-    def rows():
-        pos = float(initial)
-        for k, d in enumerate(depths):
-            chord = chord_length(d)
-            yield k + 1, None, None, None, d, pos, pos + chord
-            pos += chord + gaps[k]
-
-    return ExcursionTrace(_build_records(rows()), len(depths))
+    records = []
+    pos = float(initial)
+    for k, d in enumerate(depths):
+        chord = chord_length(d)
+        records.append(ExcursionRecord(k + 1, None, None, None, d, True,
+                                       pos, pos + chord, pos + d))
+        pos += chord + gaps[k]
+    _link_gaps(records)
+    return ExcursionTrace(records, len(depths))
 
 
 def gap_bound_estimate(traces) -> float:

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import math
 import os
@@ -12,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cusplab.cli import main, parse_generator_spec, parse_weights_spec, parse_x_spec
+from cusplab.excursions import excursion_trace, good_membership
 
 PKG_ROOT = Path(__file__).resolve().parents[1]
 
@@ -105,6 +107,23 @@ def test_excursions_bounded_type(capsys):
     # bounded type: the summary ratio is close to zero
     summary = [ln for ln in out.splitlines() if "tail_sup_depth_over_time" in ln][0]
     assert float(summary.split("=")[1]) < 0.1
+
+
+def test_excursions_skipped_rows(capsys):
+    # a digit 1 between digits 50 makes the ray miss that convergent's ball
+    assert main(["excursions", "(50,1,50,1)", "--horizon", "20"]) == 0
+    _, rows = parse_csv(capsys.readouterr().out)
+    assert len(rows) == 20
+    skipped = [r for r in rows if float(r[2]) <= 0.0]
+    entered = [r for r in rows if float(r[2]) > 0.0]
+    assert skipped and entered
+    for r in skipped:
+        assert r[3:6] == ["nan", "nan", "nan"]   # t_n, gap_n, d_over_t
+        assert r[6] == "0"
+    trace = excursion_trace(parse_x_spec("(50,1,50,1)"), 20)
+    flags = good_membership(trace, 1.0, 1e9).flags
+    assert [r[6] for r in entered] == ["1" if f else "0" for f in flags]
+    assert all(r[3] != "nan" and r[5] != "nan" for r in entered)
 
 
 def test_excursions_insufficient_digits():
@@ -299,6 +318,37 @@ def test_dim_fn_svg_and_ulam_column(tmp_path):
         assert abs(float(r[3]) - float(r[5])) < 1e-3  # coarse bins, loose check
     svg = (tmp_path / "dim_fn.svg").read_text()
     assert svg.count("<polyline") == 2  # estimates plus the 1/2 asymptote
+
+
+# -- pinned README outputs -------------------------------------------------------
+
+# sha256 of each file the README commands write, for the subcommands that run
+# on the standard library alone (dim-fn and frostman pass through numpy
+# reductions whose last bits may differ between machines).  A change that
+# moves these numbers on purpose updates the constants.
+README_OUTPUT_SHA256 = {
+    ("cf", "3/10", "--n", "8"): {
+        "cf.csv": "5d8db14f2d92ba2a49ea3e63cc447b76bdd5401799f591892d5ee44062b97778"},
+    ("cf", "sqrt:2-1/1", "--n", "12"): {
+        "cf.csv": "b0cacc160a4039c7eafd60beed5b0a3abde12899b2f34da9a89477f57989b8d3"},
+    ("excursions", "(2)", "--horizon", "40", "--tau", "1", "--kappa", "5"): {
+        "excursions.csv": "25900a266ca7ba0f8630cede7f94153b5b891943dfb531939b328b189da66704"},
+    ("dim-seq", "loggeom:alpha=2,base=2", "--n-max", "30"): {
+        "dim_seq.csv": "b3c5ce02d4d3fe98d5ac6e37be32fe5d5080f32fa6541483f04ef1fd474184ea"},
+    ("spectrum", "0.75", "--grid", "201", "--svg"): {
+        "spectrum.csv": "1f78430e9bf174d12d853a78fe545c2587e2bf3896e86aa21a442a5cddbad3d3",
+        "spectrum.svg": "f5f3718e6c9b72bf3cf6fa8ed97c5d6c8c666e0a983380de9c35c435fa8826bc"},
+}
+
+
+@pytest.mark.parametrize("argv", list(README_OUTPUT_SHA256),
+                         ids=["cf-rational", "cf-quadratic", "excursions", "dim-seq",
+                              "spectrum"])
+def test_readme_output_bytes_pinned(argv, tmp_path):
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+           for f in tmp_path.iterdir()}
+    assert got == README_OUTPUT_SHA256[argv]
 
 
 # -- determinism (subprocess level) ---------------------------------------------

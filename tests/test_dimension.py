@@ -101,6 +101,32 @@ def test_collocation_rowsum_identity():
             assert np.max(np.abs(rowsum - exact)) < 1e-12
 
 
+def test_collocation_assembly_memory_bounded():
+    # a chunk's basis block holds at most _ASSEMBLY_BLOCK values (34 MB) and
+    # is freed before the next one is built, so an assembly peaks near one
+    # block at any node count; 4096-digit chunks would take 143 MB at 64 nodes
+    op = _CollocationOperator(DigitAlphabet(2, None), 64)
+    tracemalloc.start()
+    try:
+        op.matrix(0.8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
+
+
+def test_collocation_chunks_match_single_chunk(monkeypatch):
+    # at 40 nodes the 4095 digits of {a >= 2} take two chunks; one chunk of
+    # all of them gives the same matrix to rounding
+    for alphabet in (DigitAlphabet(2, None), DigitAlphabet(3, 4000)):
+        op = _CollocationOperator(alphabet, 40)
+        chunked = op.matrix(0.8)
+        monkeypatch.setattr(dimension_module, "_ASSEMBLY_BLOCK", 1 << 40)
+        single = op.matrix(0.8)
+        monkeypatch.undo()
+        assert np.allclose(chunked, single, rtol=1e-13, atol=0.0)
+
+
 def basis_oracle(nodes, bw, u):
     """Barycentric Lagrange basis with separate temporaries, nodes hit exactly."""
     diff = u[:, None] - nodes[None, :]

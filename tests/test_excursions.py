@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 import random
 from decimal import Decimal, localcontext
 
@@ -8,6 +10,7 @@ import pytest
 import cusplab as cl
 from cusplab.contfrac import ContinuedFraction, convergents
 from cusplab.excursions import (
+    ExcursionRecord,
     excursion_trace,
     gap_bound_estimate,
     good_membership,
@@ -281,6 +284,22 @@ def test_synthesize_trace_structure():
     for g in tr.gaps():
         assert g == pytest.approx(0.5, abs=1e-12)
     assert tr.times() == [tr.entry_dists()[k] + tr.depths()[k] for k in range(3)]
+
+
+def test_records_are_slotted_and_replaceable():
+    # records carry no per-instance __dict__, and replace, == and pickling
+    # work on records and on whole traces
+    for tr in (excursion_trace(ContinuedFraction([50, 1, 50, 1] * 8), 20),
+               synthesize_trace([1.0, 2.0, 3.0], gap=0.5)):
+        rec = tr.records[0]
+        assert isinstance(rec, ExcursionRecord)
+        assert not hasattr(rec, "__dict__")
+        moved = dataclasses.replace(rec, depth=rec.depth + 1.0)
+        assert moved.depth == rec.depth + 1.0 and moved.index == rec.index
+        assert moved != rec and dataclasses.replace(rec) == rec
+        short = dataclasses.replace(tr, records=tr.records[:2])
+        assert short.records == tr.records[:2] and short.horizon == tr.horizon
+        assert pickle.loads(pickle.dumps(tr)) == tr
 
 
 def test_synthesize_trace_huge_depths():
