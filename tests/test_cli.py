@@ -351,6 +351,31 @@ def test_readme_output_bytes_pinned(argv, tmp_path):
     assert got == README_OUTPUT_SHA256[argv]
 
 
+# bracket_lo, bracket_hi, dim_estimate, residual of `dim-fn 2,5,10,100` as
+# computed with scipy's Hurwitz zeta; the library's own kernel must reproduce
+# them to 1e-14
+README_DIM_FN_VALUES = {
+    2: (0.79139454858709568, 0.8643236194984748, 0.84088458641466723,
+        4.3876013933186186e-13),
+    5: (0.72889703223575386, 0.74147375213134481, 0.74044408781618476,
+        7.8825834748386114e-15),
+    10: (0.69748653329034471, 0.70163604726310558, 0.70150182669933658,
+         3.3505420660162599e-12),
+    100: (0.63890917004039538, 0.63907862387678249, 0.63907825086562586,
+          3.3306690738754696e-16),
+}
+
+
+def test_readme_dim_fn_values_pinned(tmp_path):
+    assert main(["dim-fn", "2,5,10,100", "--out", str(tmp_path)]) == 0
+    header, rows = parse_csv((tmp_path / "dim_fn.csv").read_text())
+    assert header == ["N", "bracket_lo", "bracket_hi", "dim_estimate", "residual"]
+    assert [int(r[0]) for r in rows] == list(README_DIM_FN_VALUES)
+    for r in rows:
+        for got, want in zip(r[1:], README_DIM_FN_VALUES[int(r[0])]):
+            assert abs(float(got) - want) <= 1e-14
+
+
 # -- determinism (subprocess level) ---------------------------------------------
 
 def test_csv_byte_determinism_across_runs_and_threads(tmp_path):
@@ -369,25 +394,27 @@ _IMPORT_PROBE = ("import sys, cusplab, cusplab.cli; "
                  "print(code, 'numpy' in sys.modules, 'scipy' in sys.modules)")
 
 
-@pytest.mark.parametrize("argv, numpy_loaded, scipy_loaded", [
-    (["cf", "3/10", "--n", "8"], False, False),
-    (["cf", "sqrt:2-1/1", "--n", "12"], False, False),
-    (["excursions", "(2)", "--horizon", "40", "--tau", "1", "--kappa", "5"], False, False),
-    (["dim-seq", "loggeom:alpha=2,base=2", "--n-max", "30"], False, False),
-    (["spectrum", "0.75", "--grid", "201", "--svg"], False, False),
-    (["frostman", "good:tau=10,kappa=2", "--samples", "120", "--seed", "7"], True, False),
-    (["dim-fn", "2", "--nodes", "8", "--tol", "1e-6"], True, True),
-    ([], False, False),
+@pytest.mark.parametrize("argv, numpy_loaded", [
+    (["cf", "3/10", "--n", "8"], False),
+    (["cf", "sqrt:2-1/1", "--n", "12"], False),
+    (["excursions", "(2)", "--horizon", "40", "--tau", "1", "--kappa", "5"], False),
+    (["dim-seq", "loggeom:alpha=2,base=2", "--n-max", "30"], False),
+    (["spectrum", "0.75", "--grid", "201", "--svg"], False),
+    (["frostman", "good:tau=10,kappa=2", "--samples", "120", "--seed", "7"], True),
+    (["dim-fn", "2", "--nodes", "8", "--tol", "1e-6"], True),
+    (["dim-fn", "2", "--ulam", "--nodes", "8", "--tol", "1e-6"], True),
+    ([], False),
 ], ids=["cf-rational", "cf-quadratic", "excursions", "dim-seq", "spectrum", "frostman",
-        "dim-fn", "import-only"])
-def test_scipy_imported_only_by_dimension_solves(argv, numpy_loaded, scipy_loaded, tmp_path):
+        "dim-fn", "dim-fn-ulam", "import-only"])
+def test_scipy_imported_only_by_dimension_solves(argv, numpy_loaded, tmp_path):
     # numpy is loaded only by the subcommands that compute with it
-    # (frostman, dim-fn), and scipy only by a dimension solve
+    # (frostman, dim-fn), and scipy by none: the library imports it only
+    # for a finite-range Ulam solve, which no subcommand runs
     out = ["--out", str(tmp_path)] if argv else []
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv, *out],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", str(numpy_loaded), str(scipy_loaded)]
+    assert proc.stdout.split() == ["0", str(numpy_loaded), "False"]
 
 
 def test_bad_threads_env():

@@ -47,6 +47,34 @@ def test_hurwitz_tail_matches_explicit_sum():
             assert tail_sum_oracle(2 * s, m) == pytest.approx(exact, rel=1e-12)
 
 
+@pytest.mark.parametrize("x", [1 + 2e-9, 1 + 1e-6, 1.1, 1.7, 2.0, 3.3, 8.0, 12.0])
+def test_hurwitz_zeta_matches_scipy(x):
+    # the library's kernel against scipy's, on both sides of the direct-sum
+    # cutoff at q = 24, for float q and for 1-D and 2-D arrays
+    kernel = dimension_module.hurwitz_zeta
+    for q in (1, 2, 23.5, 24.0, 1e9):
+        value = kernel(x, q)
+        assert type(value) is float
+        assert value == pytest.approx(hurwitz_zeta(x, q), rel=1e-14, abs=0.0)
+    q1 = np.concatenate([np.linspace(1.0, 30.0, 59), np.geomspace(1.0, 1e7, 400)])
+    q2 = np.random.default_rng(5).uniform(1.0, 1e7, (7, 13))
+    q2[0, :4] = (1.0, 1.5, 23.999, 24.0)
+    for q in (q1, q2):
+        value = kernel(x, q)
+        assert value.shape == q.shape
+        assert np.max(np.abs(value / hurwitz_zeta(x, q) - 1.0)) <= 1e-14
+
+
+@pytest.mark.parametrize("x, q", [
+    (1.0, 2.0), (0.5, 2.0), (float("nan"), 2.0), (float("inf"), 2.0),
+    (2.0, 0.0), (2.0, -1.0), (2.0, float("nan")), (2.0, float("inf")),
+    (2.0, np.array([3.0, 0.0])), (2.0, np.array([[3.0], [float("nan")]])),
+])
+def test_hurwitz_zeta_rejects_bad_arguments(x, q):
+    with pytest.raises(ValueError):
+        dimension_module.hurwitz_zeta(x, q)
+
+
 def test_crude_matches_hurwitz_oracle():
     # independent oracle: bisect zeta(2s, n+shift) = 1 with scipy's Hurwitz zeta
     for n, shift in [(2, 0), (2, 1), (5, 0), (10, 1), (100, 0)]:
@@ -202,7 +230,10 @@ def test_ulam_direct_digits_match_loop_across_blocks(monkeypatch):
 def ulam_two_sided_oracle(op, s):
     """The full Ulam matrix of an infinite range with the zeta tail summed
     per (row, bin) from both ends, zeta(a_lo + x) - zeta(a_hi + 1 + x) on the
-    nonempty cells, and bin 0 from a separate call."""
+    nonempty cells, and bin 0 from a separate call.  Its zeta values come from
+    the library's own kernel, so that the comparison checks the boundary
+    differences bit for bit; test_hurwitz_zeta_matches_scipy checks the kernel."""
+    hurwitz_zeta = dimension_module.hurwitz_zeta
     b, w, x = op.bins, op.w, op.x
     mat = ulam_direct_oracle(op, s)
     zeta_lo = op.direct_hi + 1
