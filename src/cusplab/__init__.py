@@ -11,8 +11,6 @@ from .halfplane import (
     HPoint,
     Interval,
     MoebiusMap,
-    cayley_to_disc,
-    cayley_to_halfplane,
     chord_length,
     cross_ratio,
     distance_via_crossratio,
@@ -26,24 +24,20 @@ from .halfplane import (
     petal_span,
     shadow,
 )
-from .contfrac import ContinuedFraction, Convergent, cf_expand, convergents, ford_circle
+from .contfrac import ContinuedFraction, Convergent, convergents, ford_circle
 from .excursions import (
     ExcursionRecord,
     ExcursionTrace,
-    corridor_membership,
     excursion_trace,
     gap_bound_estimate,
     good_membership,
     jarnik_ratios,
-    ratio_to_theta,
     synthesize_trace,
-    theta_to_ratio,
 )
 from .growth import GrowthSequence, seq_omega_rho
 from .spectra import (
     DegenerateSpectrumError,
     MeasureProbe,
-    beta_to_theta,
     fp,
     global_measure_log,
     local_dim_sequence,

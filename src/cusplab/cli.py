@@ -12,6 +12,7 @@ import argparse
 import math
 import re
 import sys
+from collections.abc import Callable
 from pathlib import Path
 
 from .config import resolve_config
@@ -77,9 +78,10 @@ def _require(kv, key):
     return kv.pop(key)
 
 
-def parse_generator_spec(spec: str) -> "GrowthSequence | None":
+def parse_generator_spec(spec: str) -> Callable[[int], GrowthSequence]:
     """Growth spec: 'loggeom:alpha=A,base=B' | 'geom:c=C' | 'poly:k=K' |
-    'explicit:v1,v2,...'.  Returns a factory closed over n."""
+    'explicit:v1,v2,...'.  Returns a factory n -> GrowthSequence of the first
+    n terms."""
     kind, _, body = spec.strip().partition(":")
     if kind == "loggeom":
         kv = _parse_kv(body)
@@ -186,7 +188,7 @@ def cmd_dim_fn(args, cfg):
 
     rows = good_dimension_sweep(
         [int(t) for t in args.N.split(",") if t.strip()], nodes=cfg.nodes,
-        tol=cfg.bisect_tol, power_tol=cfg.power_tol, m_eff=cfg.m_eff or None,
+        tol=cfg.bisect_tol, power_tol=cfg.power_tol,
         ulam_bins=cfg.ulam_bins if args.ulam else None, threads=cfg.threads)
     cols = ["N", "bracket_lo", "bracket_hi", "dim_estimate", "residual"]
     if args.ulam:

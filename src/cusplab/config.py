@@ -23,15 +23,13 @@ class RunConfig:
     power_tol: float = 1e-12
     nodes: int = 20
     ulam_bins: int = 4096
-    m_eff: int = 0            # 0 = automatic truncation choice
     seed: int = 0
     horizon: int = 50
     out_dir: str | None = None
     svg: bool = False
     threads: int = 1
 
-    _HASHED = ("bisect_tol", "power_tol", "nodes", "ulam_bins", "m_eff",
-               "seed", "horizon")
+    _HASHED = ("bisect_tol", "power_tol", "nodes", "ulam_bins", "seed", "horizon")
 
     def __post_init__(self):
         for name in ("bisect_tol", "power_tol"):
@@ -46,6 +44,8 @@ class RunConfig:
 
     def config_hash(self, extra=None) -> str:
         items = [f"{k}={getattr(self, k)!r}" for k in self._HASHED]
+        # the retired m_eff field, always 0, keeps its place so existing hashes match
+        items.insert(4, "m_eff=0")
         for k, v in sorted((extra or {}).items()):
             items.append(f"{k}={v!r}")
         digest = hashlib.sha256(";".join(items).encode()).hexdigest()
@@ -59,7 +59,7 @@ _BOOL_FALSE = {"0", "false", "no", "off"}
 def _coerce(name, raw):
     if name in ("bisect_tol", "power_tol"):
         return float(raw)
-    if name in ("nodes", "ulam_bins", "m_eff", "seed", "horizon", "threads"):
+    if name in ("nodes", "ulam_bins", "seed", "horizon", "threads"):
         return int(raw)
     if name == "svg":
         low = raw.lower()

@@ -201,26 +201,6 @@ class Convergent:
         return self.p / self.q
 
 
-def cf_expand(x, n) -> ContinuedFraction:
-    """Expand x in (0, 1) to (at least) n digits.
-
-    Exact rationals (``fractions.Fraction`` or integer pairs) run big-integer
-    Euclid and may terminate before n digits; floats are expanded with a
-    reliability horizon.
-    """
-    if n < 1:
-        raise ValueError("depth must be >= 1")
-    if isinstance(x, ContinuedFraction):
-        return x
-    if isinstance(x, Fraction):
-        return ContinuedFraction.from_rational(x.numerator, x.denominator)
-    if isinstance(x, tuple) and len(x) == 2:
-        return ContinuedFraction.from_rational(*x)
-    if isinstance(x, float):
-        return ContinuedFraction.from_float(x, max_digits=max(n, 64))
-    raise TypeError(f"cannot expand {x!r}")
-
-
 def convergent_pairs(digits):
     """Yield (p_k, q_k), k = 1, 2, ..., for the digits a_1, a_2, ... by the
     standard recurrence p_k = a_k p_{k-1} + p_{k-2}, likewise q_k, from

@@ -239,7 +239,7 @@ _ASSEMBLY_BLOCK = 1 << 22  # basis values (nodes^2 per digit) per assembly chunk
 
 
 class _CollocationOperator:
-    def __init__(self, alphabet: DigitAlphabet, nodes: int, m_eff: int | None = None):
+    def __init__(self, alphabet: DigitAlphabet, nodes: int):
         if nodes < 8:
             raise ValueError("need at least 8 collocation nodes")
         self.alphabet = alphabet
@@ -247,11 +247,7 @@ class _CollocationOperator:
         self.x = _lobatto_nodes(nodes, h)
         self.bw = _bary_weights(nodes)
         if alphabet.infinite:
-            self.m_eff = m_eff or max(64 * alphabet.lower, 4096)
-            if self.m_eff < 8 * alphabet.lower:
-                raise ValueError(
-                    "truncation must exceed 8x the lower digit bound for the "
-                    "polynomial tail to converge")
+            self.m_eff = max(64 * alphabet.lower, 4096)
             d1 = _diff_matrix(self.x, self.bw)
             rows = [np.eye(nodes)[0]]
             m = np.eye(nodes)
@@ -413,10 +409,10 @@ def _pressure_root(op, crude, tol, power_tol):
 
 
 def transfer_dimension(alphabet: DigitAlphabet, nodes=20, tol=1e-10,
-                       power_tol=1e-12, m_eff=None) -> DimensionEstimate:
+                       power_tol=1e-12) -> DimensionEstimate:
     """Dimension of the digit-restricted set via collocation of the transfer
     operator; for infinite ranges the crude-exponent bracket is attached."""
-    op = _CollocationOperator(alphabet, nodes, m_eff)
+    op = _CollocationOperator(alphabet, nodes)
     crude = _crude_bracket(alphabet, tol)
     root, residual = _pressure_root(op, crude, tol, power_tol)
     lo, hi = crude or (None, None)
@@ -432,8 +428,8 @@ def ulam_dimension(alphabet: DigitAlphabet, bins=4096, tol=1e-8,
     return DimensionEstimate(root, residual, "ulam")
 
 
-def good_dimension_sweep(n_list, nodes=20, tol=1e-9, power_tol=1e-12, m_eff=None,
-                         ulam_bins=None, threads=1):
+def good_dimension_sweep(n_list, nodes=20, tol=1e-9, power_tol=1e-12, ulam_bins=None,
+                         threads=1):
     """Rows (N, bracket_lo, bracket_hi, dim_estimate, residual) for the sets
     with all digits >= N, plus ulam_estimate when ``ulam_bins`` is given (its
     root is solved to max(tol, 1e-7)).  The N are solved on ``threads``
@@ -446,8 +442,7 @@ def good_dimension_sweep(n_list, nodes=20, tol=1e-9, power_tol=1e-12, m_eff=None
 
     def row(n):
         alphabet = DigitAlphabet(n, None)
-        est = transfer_dimension(alphabet, nodes=nodes, tol=tol,
-                                 power_tol=power_tol, m_eff=m_eff)
+        est = transfer_dimension(alphabet, nodes=nodes, tol=tol, power_tol=power_tol)
         out = (n, est.bracket_lo, est.bracket_hi, est.dim, est.residual)
         if ulam_bins is None:
             return out

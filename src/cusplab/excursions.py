@@ -246,27 +246,12 @@ def good_membership(trace: ExcursionTrace, tau: float, kappa: float) -> Membersh
     kappa.  The verdict only speaks for the horizon of the trace."""
     if not 0 < tau < math.inf or not kappa >= 0:
         raise ValueError("tau must be positive and finite and kappa nonnegative")
-    return corridor_membership(trace, tau, math.inf, kappa)
-
-
-def corridor_membership(trace: ExcursionTrace, tau_lo: float, tau_hi: float,
-                        kappa: float) -> Membership:
-    """Two-sided variant: log(tau_lo) < depth <= log(tau_hi) with gaps below
-    kappa.  This is the corridor set used to mass lower bounds from inside."""
-    if not 0 < tau_lo < tau_hi:
-        raise ValueError("need 0 < tau_lo < tau_hi")
-    if not kappa >= 0:
-        raise ValueError(f"kappa must be nonnegative, got {kappa}")
-    lo, hi = math.log(tau_lo), math.log(tau_hi)
     recs = trace.entered()
     if not recs:
         raise ValueError("empty trace")
-    flags = []
-    for rec in recs:
-        ok = lo < rec.depth <= hi
-        if rec.gap_to_next is not None:
-            ok = ok and rec.gap_to_next < kappa
-        flags.append(ok)
+    log_tau = math.log(tau)
+    flags = [rec.depth > log_tau and (rec.gap_to_next is None or rec.gap_to_next < kappa)
+             for rec in recs]
     return Membership(flags, all(flags))
 
 
@@ -294,15 +279,3 @@ def jarnik_ratios(trace: ExcursionTrace) -> JarnikRatios:
     over_sum = [dn / (2.0 * acc) for dn, acc in zip(d[1:], accumulate(d))]
     return JarnikRatios(tail_extreme(max, over_time), tail_extreme(max, over_sum))
 
-
-def theta_to_ratio(theta: float) -> float:
-    """theta -> theta / (1 - theta), the growth form of the same limsup."""
-    if not 0 <= theta < 1:
-        raise ValueError("theta must lie in [0, 1)")
-    return theta / (1.0 - theta)
-
-
-def ratio_to_theta(ratio: float) -> float:
-    if ratio < 0:
-        raise ValueError("ratio must be nonnegative")
-    return ratio / (1.0 + ratio)

@@ -42,9 +42,13 @@ class GrowthSequence:
             raise ValueError("log-geometric growth needs alpha > 1")
         if base <= 1.0:
             raise ValueError("base must exceed 1")
+        params = {"alpha": alpha, "base": base}
         lb = math.log(base)
-        return cls(tuple(alpha ** k * lb for k in range(1, n + 1)),
-                   "log_geometric", {"alpha": alpha, "base": base})
+        try:
+            log_s = tuple(alpha ** k * lb for k in range(1, n + 1))
+        except OverflowError:  # alpha ** k beyond float range
+            raise ValueError(f"non-finite term in log_geometric sequence {params}") from None
+        return cls(log_s, "log_geometric", params)
 
     @classmethod
     def geometric(cls, c, n):

@@ -28,7 +28,7 @@ INFINITY = math.inf
 _DET_TOL = 1e-12
 
 
-def is_infinite(x) -> bool:
+def _is_infinite(x) -> bool:
     return isinstance(x, (int, float)) and math.isinf(x)
 
 
@@ -135,22 +135,22 @@ def cross_ratio(x, y, z, t):
     boundary arguments), otherwise a complex number.
     """
     pts = [_as_extended(p) for p in (x, y, z, t)]
-    inf_count = sum(1 for p in pts if is_infinite(p))
+    inf_count = sum(1 for p in pts if _is_infinite(p))
     if inf_count > 1:
         raise ValueError("cross_ratio allows at most one point at infinity")
-    finite = [p for p in pts if not is_infinite(p)]
+    finite = [p for p in pts if not _is_infinite(p)]
     for i in range(len(finite)):
         for j in range(i + 1, len(finite)):
             if finite[i] == finite[j]:
                 raise ValueError("cross_ratio needs pairwise distinct points")
     X, Y, Z, T = pts
-    if is_infinite(X):
+    if _is_infinite(X):
         val = (Z - T) / (Z - Y)
-    elif is_infinite(Y):
+    elif _is_infinite(Y):
         val = (Z - T) / (X - T)
-    elif is_infinite(Z):
+    elif _is_infinite(Z):
         val = (X - Y) / (X - T)
-    elif is_infinite(T):
+    elif _is_infinite(T):
         val = (X - Y) / (Z - Y)
     else:
         val = (X - Y) * (Z - T) / ((Y - Z) * (T - X))
@@ -174,21 +174,21 @@ class Geodesic:
     end: float
 
     def __post_init__(self):
-        if is_infinite(self.start) and is_infinite(self.end):
+        if _is_infinite(self.start) and _is_infinite(self.end):
             raise ValueError("a geodesic needs at most one endpoint at infinity")
         if self.start == self.end:
             raise ValueError("geodesic endpoints must be distinct")
 
     @property
     def is_vertical(self) -> bool:
-        return is_infinite(self.start) or is_infinite(self.end)
+        return _is_infinite(self.start) or _is_infinite(self.end)
 
     @property
     def foot(self) -> float:
         """Finite endpoint of a vertical geodesic."""
         if not self.is_vertical:
             raise ValueError("foot is defined for vertical geodesics only")
-        return self.end if is_infinite(self.start) else self.start
+        return self.end if _is_infinite(self.start) else self.start
 
 
 def geodesic_through(z: HPoint, w: HPoint) -> Geodesic:
@@ -263,7 +263,7 @@ class Horoball:
     @property
     def top(self) -> HPoint:
         """Euclidean apex of the ball (undefined for the ball at infinity)."""
-        if is_infinite(self.base):
+        if _is_infinite(self.base):
             raise ValueError("the horoball at infinity has no finite top")
         return HPoint(self.base, self.size)
 
@@ -282,16 +282,16 @@ def penetration_depth(ball: Horoball, geod: Geodesic) -> float:
     height H; the depth is log(H * size).
     """
     a, b = geod.start, geod.end
-    if is_infinite(ball.base):
-        if is_infinite(a) or is_infinite(b):
+    if _is_infinite(ball.base):
+        if _is_infinite(a) or _is_infinite(b):
             raise ValueError("geodesic ends in the cusp at infinity")
         return math.log(abs(a - b) / (2.0 * ball.size))
     x0 = ball.base
     if a == x0 or b == x0:
         raise ValueError("geodesic ends at the horoball base (infinite excursion)")
-    if is_infinite(a):
+    if _is_infinite(a):
         return math.log(ball.size / (2.0 * abs(b - x0)))
-    if is_infinite(b):
+    if _is_infinite(b):
         return math.log(ball.size / (2.0 * abs(a - x0)))
     return math.log(ball.size * abs(a - b) / (2.0 * abs(a - x0) * abs(b - x0)))
 
@@ -314,7 +314,7 @@ def entry_exit_points(ball: Horoball, geod: Geodesic):
     if not depth > 0:
         raise ValueError(f"geodesic does not enter the open horoball (depth={depth})")
     a, b = geod.start, geod.end
-    if is_infinite(ball.base):
+    if _is_infinite(ball.base):
         h = ball.size
         c, r = 0.5 * (a + b), 0.5 * abs(b - a)
         s = math.sqrt(r * r - h * h)
@@ -322,8 +322,8 @@ def entry_exit_points(ball: Horoball, geod: Geodesic):
         return HPoint(first, h), HPoint(second, h)
     x0 = ball.base
     # Normalize the base to infinity with sigma(z) = -1/(z - x0).
-    ap = 0.0 if is_infinite(a) else -1.0 / (a - x0)
-    bp = 0.0 if is_infinite(b) else -1.0 / (b - x0)
+    ap = 0.0 if _is_infinite(a) else -1.0 / (a - x0)
+    bp = 0.0 if _is_infinite(b) else -1.0 / (b - x0)
     hline = 1.0 / ball.size
     c, r = 0.5 * (ap + bp), 0.5 * abs(bp - ap)
     s = math.sqrt(r * r - hline * hline)
@@ -365,7 +365,7 @@ def shadow(ball: Horoball, viewpoint: HPoint) -> Interval:
     (viewpoint straight below a finite ball, or a ball based at infinity) are
     not representable as a finite interval and raise ValueError.
     """
-    if is_infinite(ball.base):
+    if _is_infinite(ball.base):
         raise ValueError("the shadow of the horoball at infinity wraps around infinity")
     x0 = ball.base
     w = -1.0 / complex(viewpoint.x - x0, viewpoint.y)
@@ -387,39 +387,13 @@ def mobius_apply_horoball(m: MoebiusMap, ball: Horoball) -> Horoball:
     """Image of a horoball under a Moebius map (horoballs map to horoballs)."""
     base2 = mobius_apply(m, ball.base)
     # One point on the boundary circle/line, chosen away from the pole.
-    if is_infinite(ball.base):
+    if _is_infinite(ball.base):
         candidates = [complex(t, ball.size) for t in (0.0, 1.0, 2.0)]
     else:
         candidates = [complex(ball.base, ball.size)]
     pt = max(candidates, key=lambda zz: abs(m.c * zz + m.d))
     img = (m.a * pt + m.b) / (m.c * pt + m.d)
-    if is_infinite(base2):
+    if _is_infinite(base2):
         return Horoball(INFINITY, img.imag)
     dx = img.real - base2
     return Horoball(base2, (dx * dx + img.imag * img.imag) / img.imag)
-
-
-def cayley_to_halfplane(w):
-    """Conformal map of the unit disc onto the upper half-plane with 0 -> i
-    and 1 -> infinity.  Boundary points (|w| = 1) map to boundary values."""
-    w = complex(w)
-    r = abs(w)
-    if r > 1.0 + 1e-12:
-        raise ValueError("cayley_to_halfplane expects |w| <= 1")
-    if w == 1:
-        return INFINITY
-    z = 1j * (1 + w) / (1 - w)
-    if r >= 1.0 - 1e-14:
-        return z.real
-    return HPoint(z.real, z.imag)
-
-
-def cayley_to_disc(z) -> complex:
-    """Inverse of ``cayley_to_halfplane``."""
-    if isinstance(z, HPoint):
-        z = z.z
-    elif is_infinite(z):
-        return complex(1.0, 0.0)
-    else:
-        z = complex(z)
-    return (z - 1j) / (z + 1j)

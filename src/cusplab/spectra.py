@@ -66,14 +66,6 @@ def theta_to_beta(theta, delta) -> float:
     return delta - (1.0 - delta) * theta
 
 
-def beta_to_theta(beta, delta) -> float:
-    _check_delta(delta)
-    lo = 2.0 * delta - 1.0
-    if not lo <= beta <= delta:
-        raise ValueError(f"beta must lie in [{lo}, {delta}], got {beta}")
-    return (delta - beta) / (1.0 - delta)
-
-
 def fp(beta, delta) -> float:
     """Normalized position of beta inside [2 delta - 1, delta]: affine with
     fp(2 delta - 1) = 0 and fp(delta) = 1."""

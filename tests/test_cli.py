@@ -180,7 +180,7 @@ def test_spec_missing_key_exit_code():
 
 
 @pytest.mark.parametrize("spec", ["loggeom:alpha=nan,base=2", "poly:k=inf",
-                                  "loggeom:alpha=2,base=inf"])
+                                  "loggeom:alpha=2,base=inf", "loggeom:alpha=1e11"])
 def test_dim_seq_non_finite_parameter_exit_code(spec, capsys):
     assert main(["dim-seq", spec]) == 2
     assert "non-finite" in capsys.readouterr().err
@@ -240,9 +240,10 @@ def test_config_file_and_override(tmp_path, capsys):
     assert len(rows) == 7
 
 
-def test_config_bad_key(tmp_path):
+@pytest.mark.parametrize("line", ["wibble = 3", "m_eff = 5000"], ids=["unknown", "retired"])
+def test_config_bad_key(line, tmp_path):
     cfgfile = tmp_path / "bad.cfg"
-    cfgfile.write_text("wibble = 3\n")
+    cfgfile.write_text(line + "\n")
     assert main(["cf", "1/2", "--config", str(cfgfile)]) == 2
 
 

@@ -13,7 +13,6 @@ from cusplab.numerics import InsufficientDigitsError
 def test_rational_expansion():
     assert ContinuedFraction.from_rational(3, 10).prefix == (3, 3)
     assert ContinuedFraction.from_rational(1, 3).prefix == (3,)
-    assert cl.cf_expand(Fraction(3, 10), 5).prefix == (3, 3)
 
 
 def test_rational_out_of_range():
@@ -178,14 +177,6 @@ def test_ford_circles_disjoint_or_tangent():
             if det * det == 1:
                 worst_tangent += 1
     assert worst_tangent > 0  # tangencies do occur (Farey neighbours)
-
-
-def test_cf_expand_type_dispatch():
-    assert cl.cf_expand((3, 10), 2).prefix == (3, 3)
-    with pytest.raises(ValueError):
-        cl.cf_expand(1.5, 3)
-    with pytest.raises(TypeError):
-        cl.cf_expand("x", 3)
 
 
 def test_value_with_digit_beyond_float_range():

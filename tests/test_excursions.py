@@ -14,11 +14,8 @@ from cusplab.excursions import (
     excursion_trace,
     gap_bound_estimate,
     good_membership,
-    corridor_membership,
     jarnik_ratios,
     synthesize_trace,
-    theta_to_ratio,
-    ratio_to_theta,
 )
 from cusplab.numerics import InsufficientDigitsError
 
@@ -225,32 +222,13 @@ def test_good_membership_is_one_sided_corridor():
         good_membership(tr, math.inf, 1.0)
 
 
-def test_corridor_membership_rejects_negative_kappa():
+def test_good_membership_rejects_nan_and_negative_kappa():
     tr = excursion_trace(SQRT2, 10)
-    with pytest.raises(ValueError, match="kappa"):
-        corridor_membership(tr, 1.0, 2.0, -0.5)
-
-
-@pytest.mark.parametrize("membership", [
-    lambda tr, kappa: good_membership(tr, 1.0, kappa),
-    lambda tr, kappa: corridor_membership(tr, 1.0, 2.0, kappa),
-], ids=["good", "corridor"])
-def test_membership_rejects_nan_kappa(membership):
-    tr = excursion_trace(SQRT2, 10)
-    with pytest.raises(ValueError, match="kappa"):
-        membership(tr, math.nan)
+    for kappa in (math.nan, -0.5):
+        with pytest.raises(ValueError, match="kappa"):
+            good_membership(tr, 1.0, kappa)
     # an infinite kappa puts no bound on the gaps
-    assert membership(tr, math.inf).flags == membership(tr, 1e300).flags
-
-
-def test_corridor_membership():
-    # constant digit 10 gives depths log((x + r)/2) = log(5.099...)
-    cf = ContinuedFraction.from_periodic((), (10,))
-    tr = excursion_trace(cf, 20)
-    kappa = max(tr.gaps()) + 0.1
-    assert corridor_membership(tr, 4.0, 50.0, kappa).verdict
-    assert not corridor_membership(tr, 4.0, 5.0, kappa).verdict
-    assert not corridor_membership(tr, 5.5, 50.0, kappa).verdict
+    assert good_membership(tr, 1.0, math.inf).flags == good_membership(tr, 1.0, 1e300).flags
 
 
 # -- ratio estimators -----------------------------------------------------------
@@ -269,12 +247,6 @@ def test_jarnik_ratios_omega_half_sequence():
     jr = jarnik_ratios(synthesize_trace(depths, gap=0.3))
     assert jr.theta_hat == pytest.approx(1 / 3, abs=1e-3)
     assert jr.ratio_hat == pytest.approx(1 / 2, abs=1e-3)
-
-
-def test_theta_ratio_round_trip():
-    for theta in (0.0, 0.25, 1 / 3, 0.5, 0.9):
-        assert ratio_to_theta(theta_to_ratio(theta)) == pytest.approx(theta, abs=1e-15)
-    assert theta_to_ratio(0.5) == 1.0
 
 
 def test_synthesize_trace_structure():

@@ -81,6 +81,7 @@ def test_generator_validation():
 def test_non_finite_parameters_rejected():
     for make in (lambda: GrowthSequence.log_geometric(math.nan, 10),
                  lambda: GrowthSequence.log_geometric(2.0, 10, base=math.inf),
+                 lambda: GrowthSequence.log_geometric(1e11, 31),
                  lambda: GrowthSequence.polynomial(math.inf, 10),
                  lambda: GrowthSequence.explicit([1, 2, math.inf])):
         with pytest.raises(ValueError, match="non-finite"):

@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import cusplab as cl
 from cusplab import (
@@ -366,30 +364,3 @@ def test_shadow_monotone_in_size():
 def test_shadow_viewpoint_inside_rejected():
     with pytest.raises(ValueError):
         cl.shadow(Horoball(0.0, 3.0), BASE_POINT)
-
-
-# -- Cayley map ----------------------------------------------------------------
-
-def test_cayley_anchor_points():
-    assert cl.cayley_to_halfplane(0) == HPoint(0.0, 1.0)
-    assert math.isinf(cl.cayley_to_halfplane(1))
-    assert cl.cayley_to_disc(INFINITY) == pytest.approx(1.0)
-    assert cl.cayley_to_disc(HPoint(0, 1)) == pytest.approx(0.0)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.complex_numbers(max_magnitude=0.97, allow_infinity=False, allow_nan=False))
-def test_cayley_round_trip(w):
-    z = cl.cayley_to_halfplane(w)
-    back = cl.cayley_to_disc(z)
-    assert abs(back - w) < 1e-12
-
-
-def test_cayley_is_isometric_through_transport():
-    # hyperbolic distance computed after transport matches the disc formula
-    # oracle: d_disc(0, w) = log((1+|w|)/(1-|w|))
-    for radius in (0.1, 0.4, 0.8):
-        w = radius * complex(math.cos(0.7), math.sin(0.7))
-        z = cl.cayley_to_halfplane(w)
-        expected = math.log((1 + radius) / (1 - radius))
-        assert cl.hyp_distance(BASE_POINT, z) == pytest.approx(expected, abs=1e-10)

@@ -1,7 +1,9 @@
-"""The package namespace: every public name resolves to its submodule's
-object, and the numpy-backed ones load only when first used."""
+"""The package namespace: its public names are exactly the listed exports,
+each resolves to its submodule's object, and the numpy-backed ones load only
+when first used."""
 
 import importlib
+import inspect
 import subprocess
 import sys
 
@@ -12,17 +14,15 @@ import cusplab
 EXPORTS = {
     "halfplane": [
         "BASE_POINT", "INFINITY", "Geodesic", "Horoball", "HPoint", "Interval",
-        "MoebiusMap", "cayley_to_disc", "cayley_to_halfplane", "chord_length",
-        "cross_ratio", "distance_via_crossratio", "entry_exit_points",
-        "geodesic_through", "hyp_distance", "mobius_apply", "mobius_apply_geodesic",
-        "mobius_apply_horoball", "penetration_depth", "petal_span", "shadow",
+        "MoebiusMap", "chord_length", "cross_ratio", "distance_via_crossratio",
+        "entry_exit_points", "geodesic_through", "hyp_distance", "mobius_apply",
+        "mobius_apply_geodesic", "mobius_apply_horoball", "penetration_depth",
+        "petal_span", "shadow",
     ],
-    "contfrac": ["ContinuedFraction", "Convergent", "cf_expand", "convergents",
-                 "ford_circle"],
+    "contfrac": ["ContinuedFraction", "Convergent", "convergents", "ford_circle"],
     "excursions": [
-        "ExcursionRecord", "ExcursionTrace", "corridor_membership", "excursion_trace",
-        "gap_bound_estimate", "good_membership", "jarnik_ratios", "ratio_to_theta",
-        "synthesize_trace", "theta_to_ratio",
+        "ExcursionRecord", "ExcursionTrace", "excursion_trace", "gap_bound_estimate",
+        "good_membership", "jarnik_ratios", "synthesize_trace",
     ],
     "growth": ["GrowthSequence", "seq_omega_rho"],
     "dimension": [
@@ -32,7 +32,7 @@ EXPORTS = {
     "frostman": ["CylinderMeasure", "ball_mass", "cdf", "frostman_sampler",
                  "good_measure", "good_weight_range"],
     "spectra": [
-        "DegenerateSpectrumError", "MeasureProbe", "beta_to_theta", "fp",
+        "DegenerateSpectrumError", "MeasureProbe", "fp",
         "global_measure_log", "local_dim_sequence", "spectrum_table",
         "stratmann_spectrum", "strict_spectrum", "theta_to_beta",
     ],
@@ -46,6 +46,13 @@ def test_export_is_the_submodule_object(module, name):
     sub = importlib.import_module(f"cusplab.{module}")
     assert getattr(cusplab, name) is getattr(sub, name)
     assert name in dir(cusplab)
+
+
+def test_public_names_are_exactly_the_exports():
+    # a removed function must not leave a stale import or lazy entry behind
+    public = {n for n in dir(cusplab)
+              if not n.startswith("_") and not inspect.ismodule(getattr(cusplab, n))}
+    assert public == {n for names in EXPORTS.values() for n in names}
 
 
 def test_unknown_name_raises_attribute_error():

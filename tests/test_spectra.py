@@ -10,7 +10,6 @@ from cusplab.excursions import jarnik_ratios, synthesize_trace
 from cusplab.spectra import (
     DegenerateSpectrumError,
     MeasureProbe,
-    beta_to_theta,
     fp,
     global_measure_log,
     local_dim_sequence,
@@ -55,13 +54,6 @@ def test_measure_probe_validation():
 def test_theta_beta_endpoints():
     assert theta_to_beta(0.0, 0.75) == 0.75
     assert theta_to_beta(1.0, 0.75) == pytest.approx(0.5)
-
-
-@settings(max_examples=120, deadline=None)
-@given(st.floats(min_value=0.0, max_value=1.0), DELTAS)
-def test_theta_beta_round_trip(theta, delta):
-    assert beta_to_theta(theta_to_beta(theta, delta), delta) == pytest.approx(
-        theta, abs=1e-12)
 
 
 def test_fp_endpoints_and_midpoint():
