@@ -12,7 +12,6 @@ import argparse
 import math
 import re
 import sys
-from collections.abc import Callable
 from pathlib import Path
 
 from .config import resolve_config
@@ -59,51 +58,44 @@ def parse_x_spec(spec: str) -> ContinuedFraction:
     return ContinuedFraction(digits)
 
 
-def _parse_kv(body: str) -> dict:
-    out = {}
+def _spec_values(body: str, required, optional=None) -> list:
+    """The values of a 'key=value,...' spec body: those of the ``required``
+    keys in order, then those of the ``optional`` ones (a dict of defaults).
+    A missing or an unknown key is a usage error."""
+    optional = optional or {}
+    kv = {}
     for part in body.split(","):
         if not part.strip():
             continue
         if "=" not in part:
             raise ValueError(f"expected key=value, got {part!r}")
         k, v = part.split("=", 1)
-        out[k.strip()] = v.strip()
-    return out
+        kv[k.strip()] = v.strip()
+    for key in required:
+        if key not in kv:
+            raise ValueError(f"missing key {key!r}")
+    unknown = kv.keys() - set(required) - optional.keys()
+    if unknown:
+        raise ValueError(f"unknown keys {sorted(unknown)}")
+    return [kv[k] for k in required] + [kv.get(k, d) for k, d in optional.items()]
 
 
-def _require(kv, key):
-    """kv.pop(key), with a missing key reported as a usage error."""
-    if key not in kv:
-        raise ValueError(f"missing key {key!r}")
-    return kv.pop(key)
-
-
-def parse_generator_spec(spec: str) -> Callable[[int], GrowthSequence]:
-    """Growth spec: 'loggeom:alpha=A,base=B' | 'geom:c=C' | 'poly:k=K' |
-    'explicit:v1,v2,...'.  Returns a factory n -> GrowthSequence of the first
-    n terms."""
+def parse_generator_spec(spec: str, n: int) -> GrowthSequence:
+    """The first n terms of a growth spec: 'loggeom:alpha=A,base=B' |
+    'geom:c=C' | 'poly:k=K' | 'explicit:v1,v2,...'."""
     kind, _, body = spec.strip().partition(":")
     if kind == "loggeom":
-        kv = _parse_kv(body)
-        alpha, base = float(_require(kv, "alpha")), float(kv.pop("base", "2"))
-        if kv:
-            raise ValueError(f"unknown keys {sorted(kv)}")
-        return lambda n: GrowthSequence.log_geometric(alpha, n, base=base)
+        alpha, base = _spec_values(body, ("alpha",), {"base": "2"})
+        return GrowthSequence.log_geometric(float(alpha), n, base=float(base))
     if kind == "geom":
-        kv = _parse_kv(body)
-        c = int(_require(kv, "c"))
-        if kv:
-            raise ValueError(f"unknown keys {sorted(kv)}")
-        return lambda n: GrowthSequence.geometric(c, n)
+        (c,) = _spec_values(body, ("c",))
+        return GrowthSequence.geometric(int(c), n)
     if kind == "poly":
-        kv = _parse_kv(body)
-        k = float(_require(kv, "k"))
-        if kv:
-            raise ValueError(f"unknown keys {sorted(kv)}")
-        return lambda n: GrowthSequence.polynomial(k, n)
+        (k,) = _spec_values(body, ("k",))
+        return GrowthSequence.polynomial(float(k), n)
     if kind == "explicit":
         values = [float(t) for t in body.split(",") if t.strip()]
-        return lambda n: GrowthSequence.explicit(values[:n])
+        return GrowthSequence.explicit(values[:n])
     raise ValueError(f"unknown generator kind {kind!r}")
 
 
@@ -113,23 +105,15 @@ def parse_weights_spec(spec: str):
     from .frostman import CylinderMeasure, good_measure
 
     kind, _, body = spec.strip().partition(":")
-    kv = _parse_kv(body)
     if kind == "good":
-        tau, kappa = int(_require(kv, "tau")), float(kv.pop("kappa", "2"))
-        if kv:
-            raise ValueError(f"unknown keys {sorted(kv)}")
-        return good_measure(tau, kappa)
+        tau, kappa = _spec_values(body, ("tau",), {"kappa": "2"})
+        return good_measure(int(tau), float(kappa))
     if kind == "range":
-        lo, hi = int(_require(kv, "lo")), int(_require(kv, "hi"))
-        rule = kv.pop("rule", "inverse_successor")
-        if kv:
-            raise ValueError(f"unknown keys {sorted(kv)}")
-        return CylinderMeasure.from_rule(lo, hi, rule)
+        lo, hi, rule = _spec_values(body, ("lo", "hi"), {"rule": "inverse_successor"})
+        return CylinderMeasure.from_rule(int(lo), int(hi), rule)
     if kind == "single":
-        a = int(_require(kv, "a"))
-        if kv:
-            raise ValueError(f"unknown keys {sorted(kv)}")
-        return CylinderMeasure(a, a, (1.0,))
+        (a,) = _spec_values(body, ("a",))
+        return CylinderMeasure(int(a), int(a), (1.0,))
     raise ValueError(f"unknown weights kind {kind!r}")
 
 
@@ -214,8 +198,7 @@ def cmd_dim_fn(args, cfg):
 
 
 def cmd_dim_seq(args, cfg):
-    factory = parse_generator_spec(args.generator)
-    seq = factory(args.n_max + 1)
+    seq = parse_generator_spec(args.generator, args.n_max + 1)
     est = seq_omega_rho(seq, inflation_k=args.inflation_k)
     table = ResultTable(
         ["n", "omega_hat", "rho_hat", "closed_form_rho"],

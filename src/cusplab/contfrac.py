@@ -22,6 +22,18 @@ from .numerics import InsufficientDigitsError
 _FLOAT_MAX = sys.float_info.max
 
 
+def _quotients(frac, limit=None):
+    """Euclid's algorithm on den/num of a Fraction in (0, 1): its partial
+    quotients, the first ``limit`` of them if a limit is given."""
+    num, den = frac.numerator, frac.denominator
+    digits = []
+    while num and (limit is None or len(digits) < limit):
+        a, rem = divmod(den, num)
+        digits.append(a)
+        den, num = num, rem
+    return digits
+
+
 class ContinuedFraction:
     """Digit stream a_1, a_2, ... of a number in (0, 1).
 
@@ -50,13 +62,7 @@ class ContinuedFraction:
         frac = Fraction(p, q)
         if not 0 < frac < 1:
             raise ValueError(f"from_rational needs a value in (0, 1), got {frac}")
-        num, den = frac.numerator, frac.denominator
-        digits = []
-        while num:
-            a, rem = divmod(den, num)
-            digits.append(a)
-            den, num = num, rem
-        return cls(digits)
+        return cls(_quotients(frac))
 
     @classmethod
     def from_float(cls, x, max_digits=64):
@@ -73,13 +79,7 @@ class ContinuedFraction:
         # 1/(4 eps) = 1/(2 ulp), a power of two; an int, as the float
         # overflows for subnormal x
         budget = 1 << -math.frexp(math.ulp(x))[1]
-        frac = Fraction(x)
-        num, den = frac.numerator, frac.denominator
-        digits = []
-        while num and len(digits) < max_digits:
-            a, rem = divmod(den, num)
-            digits.append(a)
-            den, num = num, rem
+        digits = _quotients(Fraction(x), max_digits)
         trusted = takewhile(lambda pq: pq[1] * pq[1] < budget, convergent_pairs(digits))
         return cls(digits, reliable=sum(1 for _ in trusted))
 

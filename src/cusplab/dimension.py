@@ -27,7 +27,7 @@ iteration; a solve takes about 4-10 of them.  The reported residual
 |lambda(root) - 1| comes from the evaluation at the root.
 
 All three routes take their Hurwitz zeta values from ``hurwitz_zeta``, a
-direct sum plus an Euler-Maclaurin tail in numpy (float or array q), so that
+direct sum plus an Euler-Maclaurin tail in numpy (scalar or array q), so that
 no solve of an infinite range needs scipy; only a finite-range Ulam solve
 imports ``scipy.sparse``.
 
@@ -66,54 +66,43 @@ def hurwitz_zeta(x, q):
     Euler-Maclaurin sum at the first q' = q + k >= 24,
     q'^{-x} (q'/(x-1) + 1/2 + sum_{j=1..8} B_2j/(2j)! x(x+1)...(x+2j-2) q'^{1-2j}),
     whose first omitted term is below 1e-16 of the value for x <= 12.  A
-    float q takes a plain float path and returns a float.
+    scalar q, Python or numpy, returns a float; both run the same operations.
     """
     x = float(x)
     if not (x > 1.0 and math.isfinite(x)):
         raise ValueError(f"hurwitz_zeta needs a finite x > 1, got {x}")
+    if np.ndim(q) == 0:
+        q = lo = hi = float(q)
+    else:
+        q = np.array(q, dtype=float)
+        lo, hi = q.min(initial=_EM_START), q.max(initial=_EM_START)
+    if not (lo > 0.0 and hi < math.inf):
+        raise ValueError(f"hurwitz_zeta needs every q finite and > 0, got min {lo}, max {hi}")
+    total = 0.0
+    # enough steps to lift the smallest q to 24; a q already there adds 0
+    for _ in range(math.ceil(_EM_START - lo)):
+        small = q < _EM_START
+        total += small * q ** -x
+        q += small
     # x(x+1)...(x+2j-2) B_2j/(2j)!, innermost (j = 8) first for Horner's rule
     coeffs, rising = [], x
     for c, u, v in _EM_TERMS:
         coeffs.append(c * rising)
         rising *= (x + u) * (x + v)
     coeffs.reverse()
-    if isinstance(q, (int, float)):
-        q = float(q)
-        if not (q > 0.0 and math.isfinite(q)):
-            raise ValueError(f"hurwitz_zeta needs a finite q > 0, got {q}")
-        total, nx = 0.0, -x
-        while q < _EM_START:
-            total += q ** nx
-            q += 1.0
-        r2 = 1.0 / q
-        r2 *= r2
-        h = coeffs[0]
-        for c in coeffs[1:]:
-            h = h * r2 + c
-        return total + q ** nx * (h / q + 0.5 + q / (x - 1.0))
-    q = np.array(q, dtype=float)
-    if q.size and not (q.min() > 0.0 and q.max() < math.inf):
-        raise ValueError("hurwitz_zeta needs every q finite and > 0")
-    small = q < _EM_START
-    total = np.zeros_like(q) if small.any() else 0.0
-    while small.any():
-        total[small] += q[small] ** -x
-        q[small] += 1.0
-        small = q < _EM_START
-    # each step in place: the Ulam tail passes a (boundaries x bins) grid
-    r2 = np.reciprocal(q)
+    # augmented steps, in place on arrays: the Ulam tail passes a
+    # (boundaries x bins) grid
+    r2 = 1.0 / q
     r2 *= r2
-    h = np.multiply(r2, coeffs[0])
+    h = r2 * coeffs[0]
     for c in coeffs[1:-1]:
         h += c
         h *= r2
     h += coeffs[-1]
     h /= q
     h += 0.5
-    np.divide(q, x - 1.0, out=r2)
-    h += r2
-    np.power(q, -x, out=r2)
-    h *= r2
+    h += q / (x - 1.0)
+    h *= q ** -x
     h += total
     return h
 

@@ -172,37 +172,27 @@ def sample_point(measure: CylinderMeasure, rng, depth) -> Fraction:
 class FrostmanReport:
     rows: list                 # (sample_id, r, mass, log mass / log r)
     fitted_exponent: float     # inf of the ratio column
-    samples: int
-    r_grid: tuple
-    seed: int
 
 
-def _resolve_grid(measure, r_grid, depth):
-    if r_grid is None:
-        # Radii must sit below the finest first-level cylinder of the
-        # measure, otherwise coarse balls near the cusp see the heavy digit
-        # tail and the inf-ratio certificate degrades.
-        r_grid = tuple(10.0 ** (-k) for k in range(8, 13))
-    r_grid = tuple(float(r) for r in r_grid)
-    if any(not 0 < r < 1 for r in r_grid):
-        raise ValueError("radii must lie in (0, 1)")
-    if depth is None:
-        r_min = min(r_grid)
-        depth = int((math.log(1.0 / r_min) + 10.0) / (2.0 * math.log(measure.lo + 1))) + 4
-    return r_grid, depth
+# Radii must sit below the finest first-level cylinder of the measure,
+# otherwise coarse balls near the cusp see the heavy digit tail and the
+# inf-ratio certificate degrades.
+_R_GRID = tuple(10.0 ** (-k) for k in range(8, 13))
 
 
-def sample_rows(measure: CylinderMeasure, seed, idx, r_grid=None, depth=None):
+def sample_rows(measure: CylinderMeasure, seed, idx):
     """Rows (idx, r, mass, log-ratio) for one sampled center.
 
     The center uses the counter-based stream keyed by (seed, idx), so a
-    sample does not depend on which other samples are drawn.
+    sample does not depend on which other samples are drawn; its digit
+    string is deep enough for the sampled cylinder to resolve the smallest
+    radius.
     """
-    r_grid, depth = _resolve_grid(measure, r_grid, depth)
+    depth = int((math.log(1.0 / min(_R_GRID)) + 10.0) / (2.0 * math.log(measure.lo + 1))) + 4
     rng = np.random.Generator(np.random.Philox(key=[seed, idx]))
     xi = sample_point(measure, rng, depth)
     rows = []
-    for r in r_grid:
+    for r in _R_GRID:
         mass = ball_mass(measure, xi, Fraction(r))
         if mass <= 0.0:
             mass = _ATOM_TOL
@@ -210,8 +200,7 @@ def sample_rows(measure: CylinderMeasure, seed, idx, r_grid=None, depth=None):
     return rows
 
 
-def frostman_sampler(measure: CylinderMeasure, samples, r_grid=None, seed=0,
-                     depth=None) -> FrostmanReport:
+def frostman_sampler(measure: CylinderMeasure, samples, seed=0) -> FrostmanReport:
     """Empirical Frostman exponent report for a cylinder measure.
 
     The fitted exponent is inf over all (sample, r) of log nu(B)/log r, a
@@ -220,9 +209,8 @@ def frostman_sampler(measure: CylinderMeasure, samples, r_grid=None, seed=0,
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    r_grid, depth = _resolve_grid(measure, r_grid, depth)
     rows = []
     for idx in range(samples):
-        rows.extend(sample_rows(measure, seed, idx, r_grid, depth))
+        rows.extend(sample_rows(measure, seed, idx))
     fitted = min(row[3] for row in rows)
-    return FrostmanReport(rows, fitted, samples, r_grid, seed)
+    return FrostmanReport(rows, fitted)

@@ -29,12 +29,12 @@ class GrowthSequence:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if any(v < 0 for v in self.log_s):
+            raise ValueError("sequence terms must be >= 1 (log >= 0)")
         if not all(math.isfinite(v) for v in self.log_s):
             raise ValueError(f"non-finite term in {self.kind} sequence {self.params}")
         if len(self.log_s) < 3:
             raise ValueError("need at least three terms")
-        if any(v < 0 for v in self.log_s):
-            raise ValueError("sequence terms must be >= 1 (log >= 0)")
 
     @classmethod
     def log_geometric(cls, alpha, n, base=2.0):
@@ -66,7 +66,8 @@ class GrowthSequence:
 
     @classmethod
     def explicit(cls, values):
-        logs = tuple(math.log(v) for v in values)
+        # a term <= 0 has log -inf here, which the >= 1 check rejects
+        logs = tuple(-math.inf if v <= 0 else math.log(v) for v in values)
         seq = cls(logs, "explicit", {})
         if not seq.admissible():
             raise ValueError("explicit sequence does not look unbounded (s_n -> inf required)")

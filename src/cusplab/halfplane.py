@@ -179,17 +179,6 @@ class Geodesic:
         if self.start == self.end:
             raise ValueError("geodesic endpoints must be distinct")
 
-    @property
-    def is_vertical(self) -> bool:
-        return _is_infinite(self.start) or _is_infinite(self.end)
-
-    @property
-    def foot(self) -> float:
-        """Finite endpoint of a vertical geodesic."""
-        if not self.is_vertical:
-            raise ValueError("foot is defined for vertical geodesics only")
-        return self.end if _is_infinite(self.start) else self.start
-
 
 def geodesic_through(z: HPoint, w: HPoint) -> Geodesic:
     """Oriented geodesic through two interior points, pointing z -> w.

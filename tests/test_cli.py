@@ -49,13 +49,13 @@ def test_parse_x_spec_variants():
 
 
 def test_parse_generator_spec():
-    seq = parse_generator_spec("loggeom:alpha=2,base=2")(10)
+    seq = parse_generator_spec("loggeom:alpha=2,base=2", 10)
     assert seq.closed_form_rho == pytest.approx(1 / 3)
-    assert parse_generator_spec("geom:c=2")(10).closed_form_rho == 0.5
+    assert parse_generator_spec("geom:c=2", 10).closed_form_rho == 0.5
     with pytest.raises(ValueError):
-        parse_generator_spec("loggeom:alpha=2,bogus=1")
+        parse_generator_spec("loggeom:alpha=2,bogus=1", 10)
     with pytest.raises(ValueError):
-        parse_generator_spec("wat:x=1")
+        parse_generator_spec("wat:x=1", 10)
 
 
 def test_parse_weights_spec():
@@ -172,6 +172,23 @@ def test_dim_seq_geometric(capsys):
     out = capsys.readouterr().out
     _, rows = parse_csv(out)
     assert float(rows[-1][2]) == pytest.approx(0.5, abs=5e-3)
+
+
+@pytest.mark.parametrize("command, spec, message", [
+    ("dim-seq", "geom:c=2,x=1", "unknown keys ['x']"),
+    ("dim-seq", "geom:", "missing key 'c'"),
+    ("dim-seq", "loggeom:base=3", "missing key 'alpha'"),
+    ("dim-seq", "poly:k", "expected key=value, got 'k'"),
+    ("frostman", "good:kappa=1", "missing key 'tau'"),
+    ("frostman", "range:lo=1", "missing key 'hi'"),
+    ("frostman", "single:a=2,b=3", "unknown keys ['b']"),
+    ("frostman", "range:lo=1,hi=3,rule=bogus", "unknown weight rule 'bogus'"),
+])
+def test_bad_spec_message(command, spec, message, capsys):
+    assert main([command, spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"cusplab: {message}\n"
 
 
 def test_spec_missing_key_exit_code():

@@ -65,6 +65,20 @@ def test_hurwitz_zeta_matches_scipy(x):
         assert np.max(np.abs(value / hurwitz_zeta(x, q) - 1.0)) <= 1e-14
 
 
+def test_hurwitz_zeta_numpy_scalar_q():
+    # a numpy or 0-d q runs the float computation and returns a float, so a
+    # numpy digit bound solves like a Python int
+    kernel = dimension_module.hurwitz_zeta
+    for x in (1.1, 2.0, 7.5):
+        for v in (np.int64(2), np.array(23.5), np.float32(3.0)):
+            value = kernel(x, v)
+            assert type(value) is float
+            assert value == kernel(x, float(v))
+    plain = transfer_dimension(DigitAlphabet(5, None), nodes=12, tol=1e-7)
+    numpy_bound = transfer_dimension(DigitAlphabet(np.int64(5), None), nodes=12, tol=1e-7)
+    assert numpy_bound.dim == plain.dim
+
+
 @pytest.mark.parametrize("x, q", [
     (1.0, 2.0), (0.5, 2.0), (float("nan"), 2.0), (float("inf"), 2.0),
     (2.0, 0.0), (2.0, -1.0), (2.0, float("nan")), (2.0, float("inf")),

@@ -67,6 +67,9 @@ def test_bounded_explicit_rejected():
         GrowthSequence.explicit([2, 2, 2, 2, 2, 2])
     with pytest.raises(ValueError):
         GrowthSequence.explicit([5, 4, 3, 2, 2, 2])
+    for values in ([0, 4, 8, 16], [-2, 4, 8]):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            GrowthSequence.explicit(values)
 
 
 def test_generator_validation():
