@@ -12,9 +12,10 @@ import argparse
 import math
 import re
 import sys
+from dataclasses import fields
 from pathlib import Path
 
-from .config import resolve_config
+from .config import RunConfig, resolve_config
 from .contfrac import ContinuedFraction, convergent_pairs
 from .excursions import excursion_trace, good_membership, jarnik_ratios
 from .growth import GrowthSequence, seq_omega_rho
@@ -171,8 +172,7 @@ def cmd_dim_fn(args, cfg):
     from .dimension import good_dimension_sweep
 
     rows = good_dimension_sweep(
-        [int(t) for t in args.N.split(",") if t.strip()], nodes=cfg.nodes,
-        tol=cfg.bisect_tol, power_tol=cfg.power_tol,
+        [int(t) for t in args.N.split(",") if t.strip()], nodes=cfg.nodes, tol=cfg.bisect_tol,
         ulam_bins=cfg.ulam_bins if args.ulam else None, threads=cfg.threads)
     cols = ["N", "bracket_lo", "bracket_hi", "dim_estimate", "residual"]
     if args.ulam:
@@ -272,10 +272,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "dimension estimation on the modular surface")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="flat key=value config file")
-    common.add_argument("--out", metavar="DIR", help="write CSV/SVG under DIR instead of stdout")
+    common.add_argument("--out", dest="out_dir", metavar="DIR",
+                        help="write CSV/SVG under DIR instead of stdout")
     common.add_argument("--seed", type=int, help="64-bit RNG seed")
     common.add_argument("--horizon", type=int, help="excursion horizon N")
-    common.add_argument("--tol", type=float, help="bisection tolerance on s, in (0, 1e-3]")
+    common.add_argument("--tol", dest="bisect_tol", type=float,
+                        help="bisection tolerance on s, in (0, 1e-3]")
     common.add_argument("--nodes", type=int, help="collocation nodes")
     common.add_argument("--svg", action="store_true", default=None, help="emit SVG plot too")
 
@@ -334,15 +336,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        overrides = {
-            "seed": args.seed,
-            "horizon": args.horizon,
-            "bisect_tol": args.tol,
-            "nodes": args.nodes,
-            "svg": args.svg,
-            "out_dir": args.out,
-        }
-        cfg = resolve_config(args.config, overrides)
+        # the common flags carry the names of the RunConfig fields they set
+        cfg = resolve_config(args.config, {f.name: getattr(args, f.name, None)
+                                           for f in fields(RunConfig)})
         table, svg = args.func(args, cfg)
         _emit(table, svg, args, cfg)
         return EXIT_OK

@@ -1,26 +1,30 @@
 """Run configuration: defaults, flat key = value config files, CLI overrides.
 
-The config hash embedded in every output covers the semantic fields only
-(tolerances, discretization sizes, seed, horizon); output location and thread
-count are excluded so that runs differing only in those produce identical
-bytes.
+The ``RunConfig`` fields are the one declaration of the run settings: a
+config file accepts exactly their names, each value parsed by the field's
+type, and the CLI flags that set them carry the same names.  The config hash
+embedded in every output covers the semantic fields only (tolerances,
+discretization sizes, seed, horizon); output location and thread count are
+excluded so that runs differing only in those produce identical bytes.
 """
-
-from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 # Root solves stop once their bracket is narrower than the tolerance, so a
 # coarser one reports little more than the crude bracket as the estimate.
 MAX_TOL = 1e-3
 
+# The hashed text, frozen: the retired power_tol and m_eff settings keep their
+# slots at their last values, so that every earlier hash still matches.
+_HASH_LAYOUT = ("bisect_tol={bisect_tol!r};power_tol=1e-12;nodes={nodes!r};"
+                "ulam_bins={ulam_bins!r};m_eff=0;seed={seed!r};horizon={horizon!r}")
+
 
 @dataclass
 class RunConfig:
     bisect_tol: float = 1e-10
-    power_tol: float = 1e-12
     nodes: int = 20
     ulam_bins: int = 4096
     seed: int = 0
@@ -29,13 +33,9 @@ class RunConfig:
     svg: bool = False
     threads: int = 1
 
-    _HASHED = ("bisect_tol", "power_tol", "nodes", "ulam_bins", "seed", "horizon")
-
     def __post_init__(self):
-        for name in ("bisect_tol", "power_tol"):
-            value = getattr(self, name)
-            if not 0 < value <= MAX_TOL:
-                raise ValueError(f"{name} must lie in (0, {MAX_TOL:g}], got {value!r}")
+        if not 0 < self.bisect_tol <= MAX_TOL:
+            raise ValueError(f"bisect_tol must lie in (0, {MAX_TOL:g}], got {self.bisect_tol!r}")
         for name in ("nodes", "ulam_bins", "horizon", "threads"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive integer")
@@ -43,34 +43,28 @@ class RunConfig:
             raise ValueError("seed must fit in 64 bits")
 
     def config_hash(self, extra=None) -> str:
-        items = [f"{k}={getattr(self, k)!r}" for k in self._HASHED]
-        # the retired m_eff field, always 0, keeps its place so existing hashes match
-        items.insert(4, "m_eff=0")
-        for k, v in sorted((extra or {}).items()):
-            items.append(f"{k}={v!r}")
-        digest = hashlib.sha256(";".join(items).encode()).hexdigest()
-        return digest[:16]
+        items = [_HASH_LAYOUT.format_map(vars(self))]
+        items += [f"{k}={v!r}" for k, v in sorted((extra or {}).items())]
+        return hashlib.sha256(";".join(items).encode()).hexdigest()[:16]
 
 
+_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 _BOOL_TRUE = {"1", "true", "yes", "on"}
 _BOOL_FALSE = {"0", "false", "no", "off"}
 
 
 def _coerce(name, raw):
-    if name in ("bisect_tol", "power_tol"):
-        return float(raw)
-    if name in ("nodes", "ulam_bins", "seed", "horizon", "threads"):
-        return int(raw)
-    if name == "svg":
+    kind = _FIELD_TYPES.get(name)
+    if kind is None:
+        raise ValueError(f"unknown config key {name!r}")
+    if kind is bool:
         low = raw.lower()
         if low in _BOOL_TRUE:
             return True
         if low in _BOOL_FALSE:
             return False
         raise ValueError(f"bad boolean {raw!r}")
-    if name == "out_dir":
-        return raw
-    raise ValueError(f"unknown config key {name!r}")
+    return kind(raw) if kind in (int, float) else raw
 
 
 def load_config_file(path) -> dict:
@@ -102,7 +96,7 @@ def threads_from_env(default=1) -> int:
 
 
 def resolve_config(file_path=None, overrides=None) -> RunConfig:
-    """defaults < config file < explicit overrides."""
+    """defaults < config file < explicit overrides (None means unset)."""
     merged = {}
     if file_path:
         merged.update(load_config_file(file_path))

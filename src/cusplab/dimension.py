@@ -340,7 +340,6 @@ class _UlamOperator:
 class DimensionEstimate:
     dim: float
     residual: float           # |lambda(dim) - 1|
-    method: str
     bracket_lo: float | None = None
     bracket_hi: float | None = None
 
@@ -359,7 +358,7 @@ def _crude_bracket(alphabet, tol):
             crude_critical_exponent(alphabet.lower, 0, tol))
 
 
-def _pressure_root(op, crude, tol, power_tol):
+def _pressure_root(op, crude, tol):
     """(root, |lambda(root) - 1|) of the operator's leading eigenvalue.
 
     A one-digit alphabet {a} is a single point, of dimension 0, and L_0 maps
@@ -373,7 +372,7 @@ def _pressure_root(op, crude, tol, power_tol):
     lams = {}
 
     def f(s):
-        lam, vec, _ = power_iteration(op.matrix(s), tol=power_tol, v0=state["v"])
+        lam, vec, _ = power_iteration(op.matrix(s), v0=state["v"])
         state["v"] = vec
         lams[s] = lam
         # the pressure log(lambda) has the sign of lambda - 1 and is convex
@@ -397,28 +396,25 @@ def _pressure_root(op, crude, tol, power_tol):
     return root, abs(lams[root] - 1.0)
 
 
-def transfer_dimension(alphabet: DigitAlphabet, nodes=20, tol=1e-10,
-                       power_tol=1e-12) -> DimensionEstimate:
+def transfer_dimension(alphabet: DigitAlphabet, nodes=20, tol=1e-10) -> DimensionEstimate:
     """Dimension of the digit-restricted set via collocation of the transfer
     operator; for infinite ranges the crude-exponent bracket is attached."""
     op = _CollocationOperator(alphabet, nodes)
     crude = _crude_bracket(alphabet, tol)
-    root, residual = _pressure_root(op, crude, tol, power_tol)
+    root, residual = _pressure_root(op, crude, tol)
     lo, hi = crude or (None, None)
-    return DimensionEstimate(root, residual, "collocation", lo, hi)
+    return DimensionEstimate(root, residual, lo, hi)
 
 
-def ulam_dimension(alphabet: DigitAlphabet, bins=4096, tol=1e-8,
-                   power_tol=1e-12) -> DimensionEstimate:
+def ulam_dimension(alphabet: DigitAlphabet, bins=4096, tol=1e-8) -> DimensionEstimate:
     """Independent piecewise-constant estimate of the same pressure root."""
     op = _UlamOperator(alphabet, bins)
     crude = _crude_bracket(alphabet, tol)
-    root, residual = _pressure_root(op, crude, tol, power_tol)
-    return DimensionEstimate(root, residual, "ulam")
+    root, residual = _pressure_root(op, crude, tol)
+    return DimensionEstimate(root, residual)
 
 
-def good_dimension_sweep(n_list, nodes=20, tol=1e-9, power_tol=1e-12, ulam_bins=None,
-                         threads=1):
+def good_dimension_sweep(n_list, nodes=20, tol=1e-9, ulam_bins=None, threads=1):
     """Rows (N, bracket_lo, bracket_hi, dim_estimate, residual) for the sets
     with all digits >= N, plus ulam_estimate when ``ulam_bins`` is given (its
     root is solved to max(tol, 1e-7)).  The N are solved on ``threads``
@@ -431,12 +427,11 @@ def good_dimension_sweep(n_list, nodes=20, tol=1e-9, power_tol=1e-12, ulam_bins=
 
     def row(n):
         alphabet = DigitAlphabet(n, None)
-        est = transfer_dimension(alphabet, nodes=nodes, tol=tol, power_tol=power_tol)
+        est = transfer_dimension(alphabet, nodes=nodes, tol=tol)
         out = (n, est.bracket_lo, est.bracket_hi, est.dim, est.residual)
         if ulam_bins is None:
             return out
-        ulam = ulam_dimension(alphabet, bins=ulam_bins, tol=max(tol, 1e-7),
-                              power_tol=power_tol)
+        ulam = ulam_dimension(alphabet, bins=ulam_bins, tol=max(tol, 1e-7))
         return out + (ulam.dim,)
 
     with ThreadPoolExecutor(max_workers=threads) as pool:

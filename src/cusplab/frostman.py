@@ -189,7 +189,7 @@ def sample_rows(measure: CylinderMeasure, seed, idx):
     radius.
     """
     depth = int((math.log(1.0 / min(_R_GRID)) + 10.0) / (2.0 * math.log(measure.lo + 1))) + 4
-    rng = np.random.Generator(np.random.Philox(key=[seed, idx]))
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, idx], dtype=np.uint64)))
     xi = sample_point(measure, rng, depth)
     rows = []
     for r in _R_GRID:

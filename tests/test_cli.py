@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cusplab.cli import main, parse_generator_spec, parse_weights_spec, parse_x_spec
+from cusplab.config import RunConfig
 from cusplab.excursions import excursion_trace, good_membership
 
 PKG_ROOT = Path(__file__).resolve().parents[1]
@@ -257,22 +258,36 @@ def test_config_file_and_override(tmp_path, capsys):
     assert len(rows) == 7
 
 
-@pytest.mark.parametrize("line", ["wibble = 3", "m_eff = 5000"], ids=["unknown", "retired"])
-def test_config_bad_key(line, tmp_path):
+@pytest.mark.parametrize("line", ["wibble = 3", "m_eff = 5000", "power_tol = inf",
+                                  "power_tol = 0.5"],
+                         ids=["unknown", "retired", "retired-power_tol-inf",
+                              "retired-power_tol-0.5"])
+def test_config_bad_key(line, tmp_path, capsys):
+    # only the RunConfig fields are keys; the retired m_eff and power_tol are not
     cfgfile = tmp_path / "bad.cfg"
     cfgfile.write_text(line + "\n")
     assert main(["cf", "1/2", "--config", str(cfgfile)]) == 2
+    key = line.split("=")[0].strip()
+    assert capsys.readouterr().err == f"cusplab: unknown config key {key!r}\n"
+
+
+def test_config_hash_pinned_for_non_default_settings():
+    # the hashed text is frozen, retired settings included, so these never move
+    assert RunConfig().config_hash() == "9e443159a191d36d"
+    cfg = RunConfig(nodes=12, bisect_tol=1e-7, ulam_bins=512, seed=99, horizon=30)
+    assert cfg.config_hash(extra={"N": "3,7", "ulam": True}) == "9da2c377d9489c0d"
+    # output location, figure and thread count are not hashed
+    cfg = RunConfig(seed=2 ** 64 - 1, out_dir="x", svg=True, threads=8)
+    assert cfg.config_hash() == "b8ff26929eafda88"
 
 
 @pytest.mark.parametrize("argv, cfg_text, code", [
     (["dim-fn", "2", "--tol", "nan"], None, 2),
     (["dim-fn", "2", "--tol", "inf"], None, 2),
     (["dim-fn", "2"], "bisect_tol = nan\n", 2),
-    (["dim-fn", "2"], "power_tol = inf\n", 2),
     (["excursions", "(2)", "--kappa", "nan"], None, 2),
     (["excursions", "(2)", "--kappa", "inf"], None, 0),
-], ids=["tol-nan", "tol-inf", "config-bisect_tol-nan", "config-power_tol-inf",
-        "kappa-nan", "kappa-inf"])
+], ids=["tol-nan", "tol-inf", "config-bisect_tol-nan", "kappa-nan", "kappa-inf"])
 def test_non_finite_tolerance_and_kappa_exit_code(argv, cfg_text, code, tmp_path, capsys):
     if cfg_text is not None:
         cfgfile = tmp_path / "run.cfg"
@@ -283,17 +298,12 @@ def test_non_finite_tolerance_and_kappa_exit_code(argv, cfg_text, code, tmp_path
     assert err.count("\n") == (1 if code else 0), err
 
 
-@pytest.mark.parametrize("argv, cfg_text, code", [
-    (["dim-fn", "2", "--tol", "1e300"], None, 2),
-    (["dim-fn", "2"], "power_tol = 0.5\n", 2),
-    (["dim-fn", "2", "--tol", "1e-3"], None, 0),
-], ids=["tol-1e300", "config-power_tol-0.5", "tol-1e-3"])
-def test_tolerance_range_exit_code(argv, cfg_text, code, tmp_path, capsys):
-    # tolerances must lie in (0, 1e-3]: a coarser one returns the crude bracket
-    if cfg_text is not None:
-        cfgfile = tmp_path / "run.cfg"
-        cfgfile.write_text(cfg_text)
-        argv = [*argv, "--config", str(cfgfile)]
+@pytest.mark.parametrize("argv, code", [
+    (["dim-fn", "2", "--tol", "1e300"], 2),
+    (["dim-fn", "2", "--tol", "1e-3"], 0),
+], ids=["tol-1e300", "tol-1e-3"])
+def test_tolerance_range_exit_code(argv, code, capsys):
+    # the tolerance must lie in (0, 1e-3]: a coarser one returns the crude bracket
     assert main(argv) == code
     err = capsys.readouterr().err
     assert err.count("\n") == (1 if code else 0), err

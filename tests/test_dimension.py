@@ -419,7 +419,7 @@ def test_pressure_root_without_sign_change_raises_at_once():
             return 2.0 * np.eye(4)
 
     with pytest.raises(NumericError, match="not bracketed"):
-        _pressure_root(Doubling(), None, 1e-8, 1e-12)
+        _pressure_root(Doubling(), None, 1e-8)
     assert len(calls) == 2
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from cusplab.frostman import (
     good_measure,
     good_weight_range,
     sample_point,
+    sample_rows,
 )
 
 import numpy as np
@@ -135,6 +137,16 @@ def test_deterministic_given_seed():
     assert a.rows == b.rows and a.fitted_exponent == b.fitted_exponent
     c = frostman_sampler(m, 6, seed=12)
     assert c.rows != a.rows
+
+
+def test_every_64_bit_seed_keys_its_own_stream():
+    # seeds from 2^63 on must stay integers in the Philox key, not collapse
+    # through a float to one another or to seed 0
+    m = good_measure(10, 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = [sample_rows(m, seed, 0) for seed in (0, 2 ** 63, 2 ** 63 + 1, 2 ** 64 - 1)]
+    assert len({tuple(r) for r in rows}) == 4
 
 
 def test_fitted_exponent_good_measure():
