@@ -205,7 +205,7 @@ def cmd_dim_seq(args, cfg):
         provenance=_provenance(cfg, "dim-seq",
                                {"generator": args.generator, "n_max": args.n_max,
                                 "inflation_k": args.inflation_k}))
-    cf_rho = est.closed_form_rho
+    cf_rho = seq.closed_form_rho
     for i, (omega, rho) in enumerate(zip(est.omega_hat, est.rho_hat), start=1):
         table.add(i, omega, rho, cf_rho if cf_rho is not None else float("nan"))
     table.footer["omega_estimate"] = est.omega_estimate

@@ -8,9 +8,12 @@ the normalizing sum exceed e^{kappa/2}; the per-cylinder mass is then the
 normalized product of the digit weights.
 
 Ball masses nu(B(xi, r)) are evaluated exactly (up to a documented atom-size
-cutoff) as CDF differences; the CDF descends the cylinder tree with exact
-rational arithmetic, flipping orientation at every level because the map
-digit -> cylinder position alternates direction.
+cutoff) as CDF differences; the CDF walks the exact partial quotients of a
+rational x down the cylinder tree, flipping orientation at every level because
+the map digit -> cylinder position alternates direction.
+
+Digit supports are capped at 10^7 digits (``_MAX_SUPPORT``), checked before
+any weight is summed or allocated.
 
 The fitted exponent inf log nu(B) / log r over sampled centers and radii is a
 finite-scale Frostman certificate: a measure with nu(B(xi, r)) <= c r^s on
@@ -26,7 +29,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .contfrac import convergent_pairs
+from .contfrac import _quotients, convergent_pairs
+
+# most digits a measure may carry: its weights are held in float arrays
+_MAX_SUPPORT = 10**7
 
 
 @dataclass(frozen=True)
@@ -53,6 +59,8 @@ class CylinderMeasure:
         lo, hi = int(lo), int(hi)
         if lo < 1 or hi < lo:  # before 1/(a+1) meets a = -1
             raise ValueError("need 1 <= lo <= hi")
+        if hi - lo >= _MAX_SUPPORT:
+            raise ValueError(f"digit range [{lo}, {hi}] exceeds {_MAX_SUPPORT} digits")
         a = np.arange(lo, hi + 1, dtype=float)
         if rule == "inverse_successor":
             raw = 1.0 / (a + 1.0)
@@ -90,17 +98,17 @@ def good_weight_range(tau, kappa):
         raise ValueError("tau must be >= 1")
     if not kappa > 0:
         raise ValueError(f"kappa must be positive, got {kappa!r}")
-    ceiling = 10**9
-    # the sum up to tau' is below log((tau' + 1)/tau), so no tau' <= ceiling
-    # gets past e^{kappa/2} >= log((ceiling + 1)/tau): fail before summing
-    if tau > ceiling or 0.5 * kappa >= math.log(math.log((ceiling + 1) / tau)):
+    # the sum up to tau' is below log((tau' + 1)/tau), so no support of at
+    # most S = _MAX_SUPPORT digits passes e^{kappa/2} >= log((tau + S)/tau), and
+    # for tau >= S that log is below 1 < e^{kappa/2}: fail before summing
+    if tau >= _MAX_SUPPORT or 0.5 * kappa >= math.log(math.log((tau + _MAX_SUPPORT) / tau)):
         raise ValueError("kappa too large to normalize")
     target = math.exp(0.5 * kappa)
     total, hi = 0.0, tau - 1
     while total <= target:
         hi += 1
         total += 1.0 / (hi + 1.0)
-        if hi > ceiling:
+        if hi - tau >= _MAX_SUPPORT:
             raise ValueError("kappa too large to normalize")
     return tau, hi, total
 
@@ -115,19 +123,19 @@ _CDF_MAX_DEPTH = 64
 
 
 def cdf(measure: CylinderMeasure, x) -> float:
-    """Mass of {xi <= x}.  Exact rational descent; the recursion stops once
-    the remaining cylinder mass drops below 1e-18 (documented atom cutoff),
-    or after 64 levels."""
+    """Mass of {xi <= x} for a rational x, descending its exact partial
+    quotients.  The descent stops once the remaining cylinder mass drops
+    below 1e-18 (documented atom cutoff), or after 64 levels; the one digit
+    read past that cap tells a last digit (x on an endpoint) from a cut one."""
     x = Fraction(x)
-    if x <= 0:
+    if x.numerator <= 0:
         return 0.0
-    if x >= 1:
+    if x.numerator >= x.denominator:
         return 1.0
+    digits = _quotients(x, _CDF_MAX_DEPTH + 1)
     total, scale, flipped = 0.0, 1.0, False
-    y = x
-    for _ in range(_CDF_MAX_DEPTH):
-        d = math.floor(1 / y)
-        below = measure.mass_above(d)       # digits left of y in local coords
+    for level, d in enumerate(digits[:_CDF_MAX_DEPTH], start=1):
+        below = measure.mass_above(d)       # digits left of x in local coords
         inside = measure.weight(d)
         if not flipped:
             total += scale * below
@@ -136,8 +144,7 @@ def cdf(measure: CylinderMeasure, x) -> float:
         if inside == 0.0:
             return total
         scale *= inside
-        y = 1 / y - d
-        if y == 0:
+        if level == len(digits):
             # x sits exactly on a cylinder endpoint; the child cylinder lies
             # entirely below x iff the child orientation is reversed.
             if not flipped:

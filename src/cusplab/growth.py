@@ -9,7 +9,7 @@ float representation almost immediately.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 
 from .numerics import tail_extreme
@@ -19,22 +19,27 @@ from .numerics import tail_extreme
 class GrowthSequence:
     """A positive integer sequence s_n -> infinity, stored as log s_n.
 
-    ``kind`` records the generator: "log_geometric" (log s_n = alpha^n log b),
-    "geometric" (s_n = c^n), "polynomial" (s_n = (n+1)^k), or "explicit".
-    Generator-described sequences know their closed-form omega and rho.
+    A generator states its closed-form omega where it builds the sequence:
+    (alpha-1)/2 for log s_n = alpha^n log b, and 0 for s_n = c^n and
+    s_n = (n+1)^k.  An explicit prefix has none (``closed_form_omega`` is
+    None).  Every sequence is checked once, here: its terms are finite and
+    >= 1, and it is nondecreasing and strictly grows overall, which
+    generator sequences do by construction.
     """
 
     log_s: tuple
-    kind: str = "explicit"
-    params: dict = field(default_factory=dict)
+    closed_form_omega: float | None = None
 
     def __post_init__(self):
-        if any(v < 0 for v in self.log_s):
+        logs = self.log_s
+        if any(v < 0 for v in logs):
             raise ValueError("sequence terms must be >= 1 (log >= 0)")
-        if not all(math.isfinite(v) for v in self.log_s):
-            raise ValueError(f"non-finite term in {self.kind} sequence {self.params}")
-        if len(self.log_s) < 3:
+        if not all(math.isfinite(v) for v in logs):
+            raise ValueError("non-finite term in growth sequence")
+        if len(logs) < 3:
             raise ValueError("need at least three terms")
+        if not (all(b >= a for a, b in zip(logs, logs[1:])) and logs[-1] > logs[0]):
+            raise ValueError("sequence does not look unbounded (s_n -> inf required)")
 
     @classmethod
     def log_geometric(cls, alpha, n, base=2.0):
@@ -42,53 +47,33 @@ class GrowthSequence:
             raise ValueError("log-geometric growth needs alpha > 1")
         if base <= 1.0:
             raise ValueError("base must exceed 1")
-        params = {"alpha": alpha, "base": base}
         lb = math.log(base)
         try:
             log_s = tuple(alpha ** k * lb for k in range(1, n + 1))
-        except OverflowError:  # alpha ** k beyond float range
-            raise ValueError(f"non-finite term in log_geometric sequence {params}") from None
-        return cls(log_s, "log_geometric", params)
+        except OverflowError:  # alpha ** k beyond float range: an infinite term
+            log_s = (math.inf,)
+        if not all(math.isfinite(v) for v in log_s):
+            params = {"alpha": alpha, "base": base}
+            raise ValueError(f"non-finite term in log_geometric sequence {params}")
+        return cls(log_s, 0.5 * (alpha - 1.0))
 
     @classmethod
     def geometric(cls, c, n):
         if c < 2:
             raise ValueError("geometric growth needs c >= 2")
         lc = math.log(c)
-        return cls(tuple(k * lc for k in range(1, n + 1)), "geometric", {"c": c})
+        return cls(tuple(k * lc for k in range(1, n + 1)), 0.0)
 
     @classmethod
     def polynomial(cls, power, n):
         if power < 1:
             raise ValueError("polynomial growth needs power >= 1")
-        return cls(tuple(power * math.log(k + 1) for k in range(1, n + 1)),
-                   "polynomial", {"power": power})
+        return cls(tuple(power * math.log(k + 1) for k in range(1, n + 1)), 0.0)
 
     @classmethod
     def explicit(cls, values):
         # a term <= 0 has log -inf here, which the >= 1 check rejects
-        logs = tuple(-math.inf if v <= 0 else math.log(v) for v in values)
-        seq = cls(logs, "explicit", {})
-        if not seq.admissible():
-            raise ValueError("explicit sequence does not look unbounded (s_n -> inf required)")
-        return seq
-
-    def admissible(self) -> bool:
-        """s_n -> infinity.  Exact for generator kinds; for explicit prefixes
-        we require a nondecreasing sequence that strictly grows overall."""
-        if self.kind in ("log_geometric", "geometric", "polynomial"):
-            return True
-        logs = self.log_s
-        nondecreasing = all(b >= a for a, b in zip(logs, logs[1:]))
-        return nondecreasing and logs[-1] > logs[0]
-
-    @property
-    def closed_form_omega(self):
-        if self.kind == "log_geometric":
-            return 0.5 * (self.params["alpha"] - 1.0)
-        if self.kind in ("geometric", "polynomial"):
-            return 0.0
-        return None
+        return cls(tuple(-math.inf if v <= 0 else math.log(v) for v in values))
 
     @property
     def closed_form_rho(self):
@@ -102,8 +87,6 @@ class OmegaRhoEstimates:
     rho_hat: tuple            # rho_hat[n] for n = 1..n_max-1
     omega_estimate: float     # tail sup of omega_hat
     rho_estimate: float       # tail inf of rho_hat
-    closed_form_omega: float | None
-    closed_form_rho: float | None
 
 
 def _ratio(num, den):
@@ -122,8 +105,6 @@ def seq_omega_rho(seq: GrowthSequence, n_max=None, inflation_k=1.0) -> OmegaRhoE
     insensitive to K because the K^n correction is washed out by the
     superlinear growth of log(s_1 ... s_n)).
     """
-    if not seq.admissible():
-        raise ValueError("sequence is not admissible (s_n must tend to infinity)")
     if not 0 < inflation_k < math.inf:
         raise ValueError("inflation constant must be positive and finite")
     if n_max is not None and n_max < 3:
@@ -143,6 +124,4 @@ def seq_omega_rho(seq: GrowthSequence, n_max=None, inflation_k=1.0) -> OmegaRhoE
         rho_hat=rho_hat,
         omega_estimate=tail_extreme(max, omega_hat),
         rho_estimate=tail_extreme(min, rho_hat),
-        closed_form_omega=seq.closed_form_omega,
-        closed_form_rho=seq.closed_form_rho,
     )

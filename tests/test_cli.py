@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -206,6 +207,7 @@ def test_dim_seq_non_finite_parameter_exit_code(spec, capsys):
 
 def test_dim_seq_bounded_rejected():
     assert main(["dim-seq", "explicit:2,2,2,2,2,2"]) == 2
+    assert main(["dim-seq", "explicit:5,4,3,2"]) == 2
 
 
 def test_spectrum_values(capsys):
@@ -228,6 +230,18 @@ def test_spectrum_grid_end_rounding(capsys):
 
 def test_spectrum_degenerate_exit():
     assert main(["spectrum", "1.0"]) == 2
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("range:lo=1,hi=1000000000000", "digit range [1, 1000000000000] exceeds 10000000 digits"),
+    ("range:lo=1,hi=10000001", "digit range [1, 10000001] exceeds 10000000 digits"),
+    ("good:tau=1,kappa=6", "kappa too large to normalize"),
+])
+def test_frostman_support_beyond_cap_exits_2_at_once(spec, message, capsys):
+    start = time.perf_counter()
+    assert main(["frostman", spec, "--samples", "1"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == f"cusplab: {message}\n"
 
 
 def test_frostman_zero_samples():
@@ -490,7 +504,9 @@ _GENERATOR = st.one_of(
 
 _WEIGHTS = st.one_of(
     st.sampled_from(["good:kappa=2", "range:lo=3", "single:", "single:a=x", "bogus:a=1",
-                     "good:tau=10,zeta=1", "range:lo=2,hi=5,rule=bogus", ""]),
+                     "good:tau=10,zeta=1", "range:lo=2,hi=5,rule=bogus", "",
+                     "range:lo=1,hi=1000000000000", "range:lo=1,hi=10000001",
+                     "good:tau=1,kappa=6"]),
     st.builds(lambda t, k: f"good:tau={t},kappa={k}", _ints(-1, 30), _floats(-1, 4)),
     st.builds(lambda lo, w, rule: f"range:lo={lo},hi={lo + w},rule={rule}",
               st.integers(-1, 30), st.integers(-2, 100),

@@ -1,10 +1,13 @@
 import itertools
 import math
+import random
+import time
 import warnings
 from fractions import Fraction
 
 import pytest
 
+from cusplab.contfrac import convergent_pairs
 from cusplab.dimension import DigitAlphabet, transfer_dimension
 from cusplab.frostman import (
     CylinderMeasure,
@@ -55,6 +58,67 @@ def test_cdf_against_enumeration_weighted():
         assert cdf(m, x) == pytest.approx(enum_cdf(digits, weights, x, 9), abs=1e-4)
 
 
+def fraction_cdf(measure, x):
+    """Reference descent: the CDF as it was computed in Fraction arithmetic,
+    one floor(1/y) and one y -> 1/y - d per level."""
+    x = Fraction(x)
+    if x <= 0:
+        return 0.0
+    if x >= 1:
+        return 1.0
+    total, scale, flipped = 0.0, 1.0, False
+    y = x
+    for _ in range(64):
+        d = math.floor(1 / y)
+        below = measure.mass_above(d)
+        inside = measure.weight(d)
+        if not flipped:
+            total += scale * below
+        else:
+            total += scale * (1.0 - below - inside)
+        if inside == 0.0:
+            return total
+        scale *= inside
+        y = 1 / y - d
+        if y == 0:
+            if not flipped:
+                total += scale
+            return total
+        flipped = not flipped
+        if scale < 1e-18:
+            return total + 0.5 * scale
+    return total + 0.5 * scale
+
+
+def _points(rng):
+    """Random rationals, cylinder endpoints p/q, and x with 63-80 digits,
+    the lengths around the 64-level cap."""
+    points = [Fraction(rng.randrange(1, 10 ** 12), 10 ** 12 + rng.randrange(1, 10 ** 6))
+              for _ in range(300)]
+    points += [Fraction(rng.randrange(1, q), q) for q in (2, 3, 7, 64, 10 ** 9, 2 ** 200)
+               for _ in range(20)]
+    for length in (1, 2, 5, 63, 64, 65, 66, 80):
+        for digit_range in ((1, 1), (1, 2), (1, 5), (1, 40), (10, 60)):
+            for _ in range(6):
+                digits = [rng.randint(*digit_range) for _ in range(length)]
+                (p0, q0), (p, q) = ([(0, 1)] + list(convergent_pairs(digits)))[-2:]
+                # both endpoints of the cylinder of the digit string
+                points += [Fraction(p, q), Fraction(p + p0, q + q0)]
+    return points + [Fraction(0), Fraction(1), Fraction(-1, 3), Fraction(4, 3)]
+
+
+@pytest.mark.parametrize("measure", [
+    CylinderMeasure(1, 1, (1.0,)),                       # reaches level 64
+    CylinderMeasure(1, 2, (1.0 - 1e-9, 1e-9)),
+    CylinderMeasure.from_rule(1, 5, "uniform"),
+    good_measure(10, 2.0),
+], ids=["single:a=1", "skewed:1,2", "range:1-5-uniform", "good:tau=10,kappa=2"])
+def test_cdf_bit_identical_to_fraction_descent(measure):
+    points = _points(random.Random(20261019))
+    assert ([cdf(measure, x).hex() for x in points]
+            == [fraction_cdf(measure, x).hex() for x in points])
+
+
 def test_cdf_monotone_and_normalized():
     m = CylinderMeasure.from_rule(3, 9, "inverse_successor")
     assert cdf(m, Fraction(0)) == 0.0
@@ -88,6 +152,10 @@ def test_weights_validation():
         CylinderMeasure.from_rule(-1, 3)
     with pytest.raises(ValueError, match="1 <= lo <= hi"):
         CylinderMeasure.from_rule(5, 4, "uniform")
+    # more than 10^7 digits: rejected before numpy allocates the weights
+    for lo, hi in ((1, 10 ** 12), (5, 10 ** 7 + 5)):
+        with pytest.raises(ValueError, match=rf"digit range \[{lo}, {hi}\] exceeds 10000000"):
+            CylinderMeasure.from_rule(lo, hi)
 
 
 def test_good_weight_range_rule():
@@ -101,12 +169,16 @@ def test_good_weight_range_rule():
 
 
 def test_good_weight_range_unreachable_kappa_fails_fast():
-    # no range up to 10^9 digits sums past e^(kappa/2) here; the check must
-    # not walk all 10^9 digits first
-    for tau, kappa in ((3, math.inf), (10, 1e4), (1, 6.1), (10 ** 9 + 5, 1.0)):
+    # no support of up to 10^7 digits sums past e^(kappa/2) here (kappa = 6
+    # from tau = 1 needs about 8e8); the check must not walk the digits first
+    start = time.perf_counter()
+    for tau, kappa in ((3, math.inf), (10, 1e4), (1, 6.1), (1, 6.0), (10 ** 9 + 5, 1.0)):
         with pytest.raises(ValueError, match="too large"):
             good_weight_range(tau, kappa)
+    assert time.perf_counter() - start < 1.0
     assert good_weight_range(1, 4.0)[1] == 2469
+    lo, hi, _ = good_weight_range(1, 5.0)
+    assert hi - lo + 1 == 298127
 
 
 def test_good_weight_range_rejects_nan_kappa():

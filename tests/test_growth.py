@@ -13,6 +13,15 @@ def test_log_geometric_closed_forms():
     seq = GrowthSequence.log_geometric(2.0, 40)
     assert seq.closed_form_omega == pytest.approx(0.5)
     assert seq.closed_form_rho == pytest.approx(1 / 3)
+    # each generator states its closed forms; an explicit prefix has none
+    for alpha in (1.5, 3.0):
+        seq = GrowthSequence.log_geometric(alpha, 10, base=3.0)
+        assert seq.closed_form_omega == (alpha - 1) / 2
+        assert seq.closed_form_rho == pytest.approx(1 / (1 + alpha), abs=1e-15)
+    for seq in (GrowthSequence.geometric(3, 10), GrowthSequence.polynomial(2.5, 10)):
+        assert (seq.closed_form_omega, seq.closed_form_rho) == (0.0, 0.5)
+    seq = GrowthSequence.explicit([2, 3, 5, 9])
+    assert seq.closed_form_omega is None and seq.closed_form_rho is None
 
 
 def test_log_geometric_prefix_estimates():
@@ -32,16 +41,18 @@ def test_k_inflation_insensitive():
 
 
 def test_geometric_sequence():
-    est = seq_omega_rho(GrowthSequence.geometric(2, 400))
-    assert est.closed_form_rho == pytest.approx(0.5)
+    seq = GrowthSequence.geometric(2, 400)
+    est = seq_omega_rho(seq)
+    assert seq.closed_form_rho == pytest.approx(0.5)
     # rho_hat_n = n/(2n + 2) climbs to 1/2 like 1/n
     assert est.rho_hat[-1] == pytest.approx(0.5, abs=5e-3)
     assert est.omega_estimate < 0.01
 
 
 def test_polynomial_sequence():
-    est = seq_omega_rho(GrowthSequence.polynomial(2, 600))
-    assert est.closed_form_rho == pytest.approx(0.5)
+    seq = GrowthSequence.polynomial(2, 600)
+    est = seq_omega_rho(seq)
+    assert seq.closed_form_rho == pytest.approx(0.5)
     assert est.rho_estimate == pytest.approx(0.5, abs=5e-3)
 
 
@@ -70,6 +81,15 @@ def test_bounded_explicit_rejected():
     for values in ([0, 4, 8, 16], [-2, 4, 8]):
         with pytest.raises(ValueError, match="must be >= 1"):
             GrowthSequence.explicit(values)
+
+
+def test_sequence_checked_when_built():
+    # not nondecreasing: rejected by the constructor, before any estimate
+    with pytest.raises(ValueError, match="does not look unbounded"):
+        GrowthSequence((0.0, 1.0, 0.5))
+    # a closed form does not exempt a sequence from the check
+    with pytest.raises(ValueError, match="does not look unbounded"):
+        GrowthSequence((1.0, 1.0, 1.0), closed_form_omega=0.0)
 
 
 def test_generator_validation():
