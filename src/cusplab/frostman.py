@@ -77,6 +77,11 @@ class CylinderMeasure:
         return 0.0
 
     @cached_property
+    def _cumulative(self):
+        # mass of the digits up to and including each digit lo..hi, for sampling
+        return np.cumsum(self.weights)
+
+    @cached_property
     def _suffix(self):
         # mass of the digits strictly greater than each digit lo..hi
         return np.concatenate([np.cumsum(self.weights[::-1])[::-1][1:], [0.0]])
@@ -167,8 +172,7 @@ def ball_mass(measure: CylinderMeasure, center, radius) -> float:
 def sample_point(measure: CylinderMeasure, rng, depth) -> Fraction:
     """Draw digits i.i.d. from the measure and return the depth-th convergent
     of the sampled digit string (a representative of the sampled cylinder)."""
-    probs = np.asarray(measure.weights)
-    cum = np.cumsum(probs)
+    cum = measure._cumulative
     u = rng.random(depth)
     digits = measure.lo + np.searchsorted(cum, u * cum[-1])
     *_, (p, q) = convergent_pairs(digits.tolist())

@@ -144,29 +144,53 @@ def test_collocation_rowsum_identity():
 
 
 def test_collocation_assembly_memory_bounded():
-    # a chunk's basis block holds at most _ASSEMBLY_BLOCK values (34 MB) and
+    # a chunk's basis block holds at most _ASSEMBLY_BLOCK values (8.4 MB) and
     # is freed before the next one is built, so an assembly peaks near one
-    # block at any node count; 4096-digit chunks would take 143 MB at 64 nodes
-    op = _CollocationOperator(DigitAlphabet(2, None), 64)
+    # block at any node count; the 4033 direct digits of {a >= 64} would take
+    # 132 MB in one block at 64 nodes, and 2^22-value chunks 36 MB
+    op = _CollocationOperator(DigitAlphabet(64, None), 64)
     tracemalloc.start()
     try:
         op.matrix(0.8)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 50e6
+    assert peak < 20e6
 
 
 def test_collocation_chunks_match_single_chunk(monkeypatch):
-    # at 40 nodes the 4095 digits of {a >= 2} take two chunks; one chunk of
-    # all of them gives the same matrix to rounding
-    for alphabet in (DigitAlphabet(2, None), DigitAlphabet(3, 4000)):
+    # at 40 nodes the 4033 direct digits of {a >= 64} and the 3998 of
+    # {3..4000} take seven chunks each; one chunk of all of them gives the
+    # same matrix to rounding
+    for alphabet in (DigitAlphabet(64, None), DigitAlphabet(3, 4000)):
         op = _CollocationOperator(alphabet, 40)
         chunked = op.matrix(0.8)
         monkeypatch.setattr(dimension_module, "_ASSEMBLY_BLOCK", 1 << 40)
         single = op.matrix(0.8)
         monkeypatch.undo()
         assert np.allclose(chunked, single, rtol=1e-13, atol=0.0)
+
+
+def collocation_root(n, nodes, ratio=None):
+    """transfer_dimension's root for {a >= n}, with the direct sum taken to
+    ratio * n when a ratio is given."""
+    op = _CollocationOperator(DigitAlphabet(n, None), nodes)
+    if ratio is not None:
+        op.direct_hi = ratio * n
+    crude = (crude_critical_exponent(n, 1), crude_critical_exponent(n, 0))
+    return _pressure_root(op, crude, 1e-10)[0]
+
+
+@pytest.mark.parametrize("n, nodes", [(2, 12), (3, 12), (5, 12), (2, 20), (3, 20),
+                                      (5, 20), (2, 40)])
+def test_collocation_cutoff_matches_far_reference(n, nodes):
+    # the zeta tail after 64N direct digits gives the root of a direct sum
+    # to 1024N within 5e-15; after 16N it is off by 2e-12 at N = 2
+    ref = collocation_root(n, nodes, 1024)
+    assert transfer_dimension(DigitAlphabet(n, None), nodes=nodes).dim == pytest.approx(
+        ref, abs=5e-15)
+    if n == 2:
+        assert abs(collocation_root(n, nodes, 16) - ref) > 5e-15
 
 
 def basis_oracle(nodes, bw, u):

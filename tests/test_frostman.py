@@ -195,6 +195,30 @@ def test_sample_point_lands_in_support():
     assert 0 < xi < Fraction(1, m.lo)
 
 
+def per_call_sample_point(measure, rng, depth):
+    """sample_point with its cumulative weights rebuilt on every call."""
+    cum = np.cumsum(np.asarray(measure.weights))
+    digits = measure.lo + np.searchsorted(cum, rng.random(depth) * cum[-1])
+    *_, (p, q) = convergent_pairs(digits.tolist())
+    return Fraction(p, q)
+
+
+@pytest.mark.parametrize("measure", [
+    CylinderMeasure(7, 7, (1.0,)),
+    CylinderMeasure.from_rule(2, 40, "uniform"),
+    CylinderMeasure.from_rule(1, 100_000),
+    good_measure(10, 2.0),
+], ids=["single:a=7", "range:2-40-uniform", "range:1-100000", "good:tau=10,kappa=2"])
+def test_sample_point_bit_identical_to_per_call_cumsum(measure):
+    # the cumulative weights are built once per measure and reused
+    for idx in range(20):
+        key = np.array([11, idx], dtype=np.uint64)
+        got = sample_point(measure, np.random.Generator(np.random.Philox(key=key)), 12)
+        ref = per_call_sample_point(measure, np.random.Generator(np.random.Philox(key=key)), 12)
+        assert got == ref
+    assert measure._cumulative is measure._cumulative
+
+
 def test_single_digit_exponent_zero():
     m = CylinderMeasure(7, 7, (1.0,))
     rep = frostman_sampler(m, 3, seed=5)
