@@ -11,15 +11,17 @@ Three routes are implemented and cross-checked against each other:
 * ``transfer_dimension`` solves lambda(s) = 1 for the leading eigenvalue of
   the Gauss-map transfer operator (L_s f)(x) = sum_a (a+x)^{-2s} f(1/(a+x)),
   discretized by polynomial collocation on Chebyshev-Lobatto nodes.  Infinite
-  digit ranges keep an exact polynomial tail: the digits N..64N of {a >= N}
-  are summed directly, and beyond them the interpolant's Taylor terms at 0
-  sum against Hurwitz zeta values, so no mass is dropped.  The cutoff scales
-  with N because the tail's error depends on the cutoff M through M/N alone
-  or falls with it: the Taylor coefficients' rounding is about
-  eps (k^2 N/M)^4 at k nodes, and the truncated Taylor terms fall like
-  (M/N)^-(2s+4) N^-10.  Against a direct sum to 1024N the root moves by less
-  than 3e-15 (8-40 nodes, N up to 500); a cutoff of 16N moves it by up to
-  5e-10.
+  digit ranges keep an exact polynomial tail: the digits N..16N of {a >= N}
+  are summed directly, and beyond them the interpolant, rewritten as a
+  degree-4 polynomial in u/eps on the tail interval [0, eps = 1/(16N + 1)]
+  through its values at 5 Lobatto points there, sums against Hurwitz zeta
+  values, so no mass is dropped.  The basis values on [0, eps] are bounded,
+  so the tail's rounding does not grow with the node count; its one error is
+  the degree-4 interpolation on [0, eps], which falls like (MN)^-5 M^(1-2s)
+  at cutoff M, so a cutoff proportional to N serves every N.  Against a
+  direct sum to 1024N the root moves by at most 3.3e-16 (N in {2, 3, 5, 10,
+  100} at 8-100 nodes, N = 500 at 12 and 20, N up to 10 at 300); a cutoff of
+  4N moves it by up to 4e-13.
 * ``ulam_dimension`` repeats the computation with a piecewise-constant
   discretization on a uniform grid (bin-center collocation).  Digit ranges
   are aggregated per bin by exact Hurwitz zeta differences, which again keeps
@@ -218,18 +220,7 @@ def _basis_at(nodes, bw, u):
     return vals
 
 
-def _diff_matrix(nodes, bw):
-    k = len(nodes)
-    d = np.zeros((k, k))
-    for i in range(k):
-        for j in range(k):
-            if i != j:
-                d[i, j] = (bw[j] / bw[i]) / (nodes[i] - nodes[j])
-    d[np.diag_indices(k)] = -d.sum(axis=1)
-    return d
-
-
-_TAIL_ORDER = 5  # Taylor terms of the interpolant used for the zeta tail
+_TAIL_ORDER = 5  # polynomial terms of the interpolant used for the zeta tail
 _ASSEMBLY_BLOCK = 1 << 20  # basis values (nodes^2 per digit) per assembly chunk
 
 
@@ -241,20 +232,11 @@ class _CollocationOperator:
         h = alphabet.domain
         self.x = _lobatto_nodes(nodes, h)
         self.bw = _bary_weights(nodes)
-        # Infinite ranges: digits up to direct_hi = 64N are summed one by one
-        # and the rest by the zeta tail, whose error depends on the ratio
-        # direct_hi/N (see the module docstring), so one ratio serves every N.
-        if alphabet.infinite:
-            self.direct_hi = 64 * alphabet.lower
-            d1 = _diff_matrix(self.x, self.bw)
-            rows = [np.eye(nodes)[0]]
-            m = np.eye(nodes)
-            for order in range(1, _TAIL_ORDER):
-                m = d1 @ m
-                rows.append(m[0] / math.factorial(order))
-            self.tail_rows = np.array(rows)  # (order, nodes): f^(m)(0)/m! weights
-        else:
-            self.direct_hi = alphabet.upper
+        # Infinite ranges: digits up to direct_hi = 16N are summed one by one
+        # and the rest by the zeta tail, whose interpolation error falls with
+        # both direct_hi and N (see the module docstring), so one ratio serves
+        # every N.
+        self.direct_hi = 16 * alphabet.lower if alphabet.infinite else alphabet.upper
 
     def matrix(self, s):
         k = len(self.x)
@@ -269,9 +251,17 @@ class _CollocationOperator:
             out += np.einsum("kc,kcj->kj", wgt, _basis_at(
                 self.x, self.bw, (1.0 / denom).ravel()).reshape(k, len(avals), k))
         if self.alphabet.infinite:
-            for order in range(_TAIL_ORDER):
-                zet = hurwitz_zeta(2.0 * s + order, self.direct_hi + 1.0 + self.x)
-                out += np.outer(zet, self.tail_rows[order])
+            # the interpolant on the tail interval [0, eps] as a polynomial
+            # sum_m c_m (u/eps)^m through its values at _TAIL_ORDER Lobatto
+            # points there; (a + x)^{-2s} (u/eps)^m at u = 1/(a + x) sums over
+            # the tail digits to eps^-m zeta(2s + m, direct_hi + 1 + x)
+            eps = 1.0 / (self.direct_hi + 1.0)
+            t = _lobatto_nodes(_TAIL_ORDER, 1.0)
+            coef = np.linalg.solve(np.vander(t, increasing=True),
+                                   _basis_at(self.x, self.bw, eps * t))  # (m, nodes)
+            for m in range(_TAIL_ORDER):
+                zet = hurwitz_zeta(2.0 * s + m, self.direct_hi + 1.0 + self.x)
+                out += np.outer(zet * eps ** -m, coef[m])
         return out
 
 

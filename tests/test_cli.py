@@ -418,6 +418,15 @@ def test_readme_dim_fn_values_pinned(tmp_path):
             assert abs(float(got) - want) <= 1e-14
 
 
+def test_dim_fn_at_100_nodes(tmp_path):
+    # the collocation tail stays accurate at high node counts: the N = 100 root
+    # at 100 nodes is the README's 20-node root
+    assert main(["dim-fn", "2,100", "--nodes", "100", "--out", str(tmp_path)]) == 0
+    header, rows = parse_csv((tmp_path / "dim_fn.csv").read_text())
+    dim = {int(r[0]): float(r[header.index("dim_estimate")]) for r in rows}
+    assert abs(dim[100] - README_DIM_FN_VALUES[100][2]) <= 1e-14
+
+
 # -- determinism (subprocess level) ---------------------------------------------
 
 def test_csv_byte_determinism_across_runs_and_threads(tmp_path):

@@ -146,8 +146,8 @@ def test_collocation_rowsum_identity():
 def test_collocation_assembly_memory_bounded():
     # a chunk's basis block holds at most _ASSEMBLY_BLOCK values (8.4 MB) and
     # is freed before the next one is built, so an assembly peaks near one
-    # block at any node count; the 4033 direct digits of {a >= 64} would take
-    # 132 MB in one block at 64 nodes, and 2^22-value chunks 36 MB
+    # block at any node count; the 961 direct digits of {a >= 64} would take
+    # 31 MB in one block at 64 nodes
     op = _CollocationOperator(DigitAlphabet(64, None), 64)
     tracemalloc.start()
     try:
@@ -159,9 +159,9 @@ def test_collocation_assembly_memory_bounded():
 
 
 def test_collocation_chunks_match_single_chunk(monkeypatch):
-    # at 40 nodes the 4033 direct digits of {a >= 64} and the 3998 of
-    # {3..4000} take seven chunks each; one chunk of all of them gives the
-    # same matrix to rounding
+    # at 40 nodes the 961 direct digits of {a >= 64} take two chunks and the
+    # 3998 of {3..4000} seven; one chunk of all of them gives the same matrix
+    # to rounding
     for alphabet in (DigitAlphabet(64, None), DigitAlphabet(3, 4000)):
         op = _CollocationOperator(alphabet, 40)
         chunked = op.matrix(0.8)
@@ -182,15 +182,18 @@ def collocation_root(n, nodes, ratio=None):
 
 
 @pytest.mark.parametrize("n, nodes", [(2, 12), (3, 12), (5, 12), (2, 20), (3, 20),
-                                      (5, 20), (2, 40)])
+                                      (5, 20), (2, 40), (2, 64), (5, 64), (2, 80),
+                                      (5, 80), (2, 100), (5, 100)])
 def test_collocation_cutoff_matches_far_reference(n, nodes):
-    # the zeta tail after 64N direct digits gives the root of a direct sum
-    # to 1024N within 5e-15; after 16N it is off by 2e-12 at N = 2
+    # the zeta tail after 16N direct digits gives the root of a direct sum
+    # to 1024N within 5e-15 at any node count, as its coefficients come from
+    # basis values on [0, 1/(16N + 1)], which stay bounded; after 4N it is
+    # off by 4e-13 at N = 2
     ref = collocation_root(n, nodes, 1024)
     assert transfer_dimension(DigitAlphabet(n, None), nodes=nodes).dim == pytest.approx(
         ref, abs=5e-15)
     if n == 2:
-        assert abs(collocation_root(n, nodes, 16) - ref) > 5e-15
+        assert abs(collocation_root(n, nodes, 4) - ref) > 5e-15
 
 
 def basis_oracle(nodes, bw, u):

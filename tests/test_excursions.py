@@ -249,6 +249,43 @@ def test_jarnik_ratios_omega_half_sequence():
     assert jr.ratio_hat == pytest.approx(1 / 2, abs=1e-3)
 
 
+@pytest.mark.parametrize("alpha, horizon", [(5 / 3, 25), (3.0, 15)])
+def test_jarnik_ratios_real_ray(alpha, horizon):
+    # digits a_n = 2^round(alpha^n) give log q_n ~ log a_{n+1} / (alpha - 1),
+    # so d_n / t_n -> log a_{n+1} / (2 log q_n + log a_{n+1})
+    # = (alpha - 1) / (alpha + 1); exactly horizon + 2 digits are built, since
+    # at alpha = 3 the last has 1.3e8 bits
+    digits = [1 << round(alpha ** n) for n in range(1, horizon + 3)]
+    jr = jarnik_ratios(excursion_trace(ContinuedFraction(digits), horizon))
+    assert jr.theta_hat == pytest.approx((alpha - 1) / (alpha + 1), abs=0.02)
+
+
+def gauss_kuzmin_tail(k):
+    """P(a >= k) for a digit of a Gauss-measure typical number, k real."""
+    return math.log2(1.0 + 1.0 / math.ceil(k))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_typical_ray_levy_constant_and_theta_zero(seed):
+    # a random odd / 2^80000 follows a typical real's digits while
+    # q_n^2 < 2^80000, about n < 23000; along such a ray Levy's theorem gives
+    # t_n / n -> 2 (log q_n) / n -> pi^2 / (6 log 2), Borel-Bernstein gives
+    # theta_hat -> 0, and d_n lies within log 2 of log a_{n+1}, so the share
+    # of d_n >= tau lies between the Gauss-Kuzmin tails at e^(tau +- log 2)
+    # (the lower one nearly tight: a 4-standard-deviation sampling margin)
+    bits, horizon = 80_000, 20_000
+    odd = random.Random(seed).getrandbits(bits) | 1
+    tr = excursion_trace(ContinuedFraction.from_rational(odd, 1 << bits), horizon)
+    last = tr.entered()[-1]
+    assert last.time / last.index == pytest.approx(math.pi ** 2 / (6 * LOG2), abs=0.03)
+    assert jarnik_ratios(tr).theta_hat < 0.01
+    for tau in (1.0, 2.0, 3.0, 5.0):
+        share = sum(r.depth >= tau for r in tr.records) / horizon
+        lo = gauss_kuzmin_tail(math.exp(tau + LOG2))
+        hi = gauss_kuzmin_tail(math.exp(tau - LOG2))
+        assert lo - 4.0 * math.sqrt(lo * (1.0 - lo) / horizon) <= share <= hi
+
+
 def test_synthesize_trace_structure():
     tr = synthesize_trace([1.0, 2.0, 3.0], gap=0.5, initial=2.0)
     assert tr.entry_dists()[0] == 2.0
