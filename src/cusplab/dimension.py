@@ -35,9 +35,7 @@ iteration; a solve takes about 4-10 of them.  The reported residual
 |lambda(root) - 1| comes from the evaluation at the root.
 
 All three routes take their Hurwitz zeta values from ``hurwitz_zeta``, a
-direct sum plus an Euler-Maclaurin tail in numpy (scalar or array q), so that
-no solve of an infinite range needs scipy; only a finite-range Ulam solve
-imports ``scipy.sparse``.
+direct sum plus an Euler-Maclaurin tail in numpy (scalar or array q).
 
 Gap constants enter the underlying cover sums only as fixed per-level
 factors; their k-th roots tend to 1, so they cannot move critical exponents
@@ -269,7 +267,28 @@ class _CollocationOperator:
 # piecewise-constant (Ulam-type) discretization
 # ---------------------------------------------------------------------------
 
-_SCATTER_BLOCK = 1 << 18  # (digit, bin) pairs per block of the Ulam scatter
+# (digit, bin) pairs per block of the Ulam scatter.  glibc trims the heap top
+# once its free space passes twice the largest block it has mmapped and freed
+# (16 MB after one dense 1024-bin matrix).  The 512 KB block temporaries keep
+# an assembly below that; 2 MB ones (2^18 pairs) cross it, and then every
+# assembly hands its pages back and faults them in again.
+_SCATTER_BLOCK = 1 << 16
+# A finite range of at most bins / _GATHER_RATIO digits is multiplied by a
+# per-row gather; its (bins, digits) columns and weights then take at most a
+# quarter of the dense matrix's bytes.
+_GATHER_RATIO = 8
+
+
+class _GatherMatrix:
+    """A bins x bins operator held as each row's target columns and weights,
+    one per direct digit: row i of m @ v is sum_j wgt[i, j] v[col[i, j]]."""
+
+    def __init__(self, col, wgt):
+        self.col, self.wgt = col, wgt
+        self.shape = (len(col), len(col))
+
+    def __matmul__(self, v):
+        return np.einsum("ij,ij->i", self.wgt, v[self.col])
 
 
 class _UlamOperator:
@@ -284,7 +303,7 @@ class _UlamOperator:
         # Infinite ranges: digits below the split are scattered bin-by-bin,
         # the tail beyond it is aggregated per target bin with Hurwitz zeta
         # differences (valid there since the root search keeps 2s > 1).
-        # Finite ranges are summed directly (sparse), so any s is allowed.
+        # Finite ranges are summed directly, so any s is allowed.
         if alphabet.infinite:
             self.direct_hi = alphabet.lower + max(
                 64, int(2.5 * math.sqrt(alphabet.lower * bins)))
@@ -305,18 +324,18 @@ class _UlamOperator:
 
     def matrix(self, s):
         b, w, x = self.bins, self.w, self.x
-        if not self.alphabet.infinite:
-            from scipy import sparse
-
-            parts = [sparse.csr_matrix(
-                (wgt.ravel(), (np.repeat(np.arange(b), col.shape[1]), col.ravel())),
-                shape=(b, b)) for col, wgt in self._direct_blocks(s)]
-            return sum(parts[1:], parts[0])
+        infinite = self.alphabet.infinite
+        digits = self.direct_hi - self.alphabet.lower + 1
+        if not infinite and digits * _GATHER_RATIO <= b:
+            cols, wgts = zip(*self._direct_blocks(s))
+            return _GatherMatrix(np.hstack(cols), np.hstack(wgts))
         mat = np.zeros((b, b))
         row_start = b * np.arange(b)[:, None]
         for col, wgt in self._direct_blocks(s):
             # unbuffered, in digit order per cell, as a loop over digits would add
             np.add.at(mat.ravel(), (col + row_start).ravel(), wgt.ravel())
+        if not infinite:
+            return mat
         # Z_k = sum over tail digits a of (a + x)^{-2s} with 1/(a + x) < k w,
         # one zeta value per bin boundary k; bin 0 takes Z_1 and bin k the
         # digits between boundaries k and k + 1, Z_{k+1} - Z_k (exactly 0

@@ -174,8 +174,9 @@ def sample_point(measure: CylinderMeasure, rng, depth) -> Fraction:
     of the sampled digit string (a representative of the sampled cylinder)."""
     cum = measure._cumulative
     u = rng.random(depth)
-    digits = measure.lo + np.searchsorted(cum, u * cum[-1])
-    *_, (p, q) = convergent_pairs(digits.tolist())
+    # Python ints: lo + k would wrap in int64 for digits near 2^63 and beyond
+    digits = [measure.lo + k for k in np.searchsorted(cum, u * cum[-1]).tolist()]
+    *_, (p, q) = convergent_pairs(digits)
     return Fraction(p, q)
 
 

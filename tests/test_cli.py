@@ -443,6 +443,11 @@ def test_csv_byte_determinism_across_runs_and_threads(tmp_path):
 _IMPORT_PROBE = ("import sys, cusplab, cusplab.cli; "
                  "code = cusplab.cli.main(sys.argv[1:]) if sys.argv[1:] else 0; "
                  "print(code, 'numpy' in sys.modules, 'scipy' in sys.modules)")
+# a narrow finite range (the per-row gather) and a wide one (the dense scatter)
+_LIBRARY_PROBE = ("import sys; from cusplab.dimension import DigitAlphabet, ulam_dimension; "
+                  "ulam_dimension(DigitAlphabet(1, 2), bins=1024); "
+                  "ulam_dimension(DigitAlphabet(1, 200), bins=256); "
+                  "print(0, 'numpy' in sys.modules, 'scipy' in sys.modules)")
 
 
 @pytest.mark.parametrize("argv, numpy_loaded", [
@@ -455,14 +460,16 @@ _IMPORT_PROBE = ("import sys, cusplab, cusplab.cli; "
     (["dim-fn", "2", "--nodes", "8", "--tol", "1e-6"], True),
     (["dim-fn", "2", "--ulam", "--nodes", "8", "--tol", "1e-6"], True),
     ([], False),
+    (None, True),
 ], ids=["cf-rational", "cf-quadratic", "excursions", "dim-seq", "spectrum", "frostman",
-        "dim-fn", "dim-fn-ulam", "import-only"])
+        "dim-fn", "dim-fn-ulam", "import-only", "library-ulam-finite"])
 def test_scipy_imported_only_by_dimension_solves(argv, numpy_loaded, tmp_path):
     # numpy is loaded only by the subcommands that compute with it
-    # (frostman, dim-fn), and scipy by none: the library imports it only
-    # for a finite-range Ulam solve, which no subcommand runs
+    # (frostman, dim-fn), and scipy by none: no library path imports it, not
+    # even a finite-range Ulam solve (argv None runs that in the library)
+    probe = [_LIBRARY_PROBE] if argv is None else [_IMPORT_PROBE, *argv]
     out = ["--out", str(tmp_path)] if argv else []
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv, *out],
+    proc = subprocess.run([sys.executable, "-c", *probe, *out],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", str(numpy_loaded), "False"]

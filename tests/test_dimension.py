@@ -239,22 +239,15 @@ def ulam_direct_oracle(op, s):
     (DigitAlphabet(2, None), 128), (DigitAlphabet(13, None), 256),
     (DigitAlphabet(1, 61), 256), (DigitAlphabet(3, 40), 128)])
 def test_ulam_direct_digits_match_loop(monkeypatch, alphabet, bins):
-    # with the zeta tail switched off, matrix(s) is the direct-digit scatter
+    # with the zeta tail switched off, matrix(s) is the direct-digit scatter;
+    # the finite ranges here are wider than bins / 8, so they are scattered too
     monkeypatch.setattr(dimension_module, "hurwitz_zeta", lambda s2, q: 0.0 * q)
     op = _UlamOperator(alphabet, bins)
     for s in (-0.5, 0.6, 0.95):
         if alphabet.infinite and s < 0.5:
             continue
-        mat = op.matrix(s)
-        ref = ulam_direct_oracle(op, s)
-        if alphabet.infinite:
-            # the same terms, summed per cell in the same digit order
-            assert np.array_equal(mat, ref)
-            continue
-        # the sparse build sums a cell's terms in its own order
-        mat = mat.toarray()
-        assert np.array_equal(mat != 0.0, ref != 0.0)
-        assert np.allclose(mat, ref, rtol=1e-13, atol=0.0)
+        # the same terms, summed per cell in the same digit order
+        assert np.array_equal(op.matrix(s), ulam_direct_oracle(op, s))
 
 
 def test_ulam_direct_digits_match_loop_across_blocks(monkeypatch):
@@ -263,9 +256,39 @@ def test_ulam_direct_digits_match_loop_across_blocks(monkeypatch):
     monkeypatch.setattr(dimension_module, "_SCATTER_BLOCK", 1)
     for alphabet in (DigitAlphabet(5, None), DigitAlphabet(2, 30)):
         op = _UlamOperator(alphabet, 128)
-        mat = op.matrix(0.8)
-        mat = mat if alphabet.infinite else mat.toarray()
-        assert np.allclose(mat, ulam_direct_oracle(op, 0.8), rtol=1e-13, atol=0.0)
+        assert np.array_equal(op.matrix(0.8), ulam_direct_oracle(op, 0.8))
+
+
+@pytest.mark.parametrize("alphabet, bins", [
+    (DigitAlphabet(1, 2), 256), (DigitAlphabet(5, 12), 256), (DigitAlphabet(3, 34), 256),
+    (DigitAlphabet(1, 128), 1024)])
+def test_ulam_narrow_finite_range_is_a_gather(alphabet, bins):
+    # at most bins / 8 digits: one (column, weight) pair per digit and row,
+    # with the products of the digit-by-digit matrix
+    op = _UlamOperator(alphabet, bins)
+    digits = alphabet.upper - alphabet.lower + 1
+    rng = np.random.default_rng(digits)
+    for s in (-0.5, 0.6, 0.95):
+        m = op.matrix(s)
+        assert m.shape == (bins, bins) and m.wgt.shape == (bins, digits)
+        ref = ulam_direct_oracle(op, s)
+        for v in rng.uniform(0.0, 1.0, (3, bins)):
+            assert np.allclose(m @ v, ref @ v, rtol=1e-13, atol=0.0)
+    # one digit more than bins / 8 is scattered into a dense matrix
+    wider = _UlamOperator(DigitAlphabet(1, bins // 8 + 1), bins).matrix(0.6)
+    assert isinstance(wider, np.ndarray)
+
+
+def test_ulam_gather_and_scatter_roots_agree_at_the_width_rule(monkeypatch):
+    # the widths on both sides of the rule, each solved through the gather
+    # (every finite range gathered) and through the dense scatter (none)
+    bins = 256
+    for width in (bins // 8, bins // 8 + 1):
+        roots = []
+        for ratio in (1, bins + 1):
+            monkeypatch.setattr(dimension_module, "_GATHER_RATIO", ratio)
+            roots.append(ulam_dimension(DigitAlphabet(1, width), bins=bins, tol=1e-13).dim)
+        assert abs(roots[0] - roots[1]) <= 1e-12
 
 
 def ulam_two_sided_oracle(op, s):

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from cusplab.contfrac import convergent_pairs
+from cusplab.contfrac import ContinuedFraction, convergent_pairs
 from cusplab.dimension import DigitAlphabet, transfer_dimension
 from cusplab.frostman import (
     CylinderMeasure,
@@ -189,10 +189,16 @@ def test_good_weight_range_rejects_nan_kappa():
 
 
 def test_sample_point_lands_in_support():
-    m = good_measure(10, 2.0)
-    rng = np.random.Generator(np.random.Philox(key=[3, 0]))
-    xi = sample_point(m, rng, 8)
-    assert 0 < xi < Fraction(1, m.lo)
+    # digits at and past 2^63 stay exact integers, not int64 that wrap
+    for measure in (good_measure(10, 2.0),
+                    CylinderMeasure.from_rule(2 ** 63 - 3, 2 ** 63 + 3, "uniform"),
+                    CylinderMeasure(10 ** 23 - 1, 10 ** 23 - 1, (1.0,))):
+        rng = np.random.Generator(np.random.Philox(key=[3, 0]))
+        xi = sample_point(measure, rng, 8)
+        assert 0 < xi < Fraction(1, measure.lo)
+        digits = ContinuedFraction.from_rational(xi.numerator, xi.denominator).prefix
+        assert len(digits) == 8
+        assert all(measure.lo <= a <= measure.hi for a in digits)
 
 
 def per_call_sample_point(measure, rng, depth):
