@@ -20,6 +20,9 @@ from .halfplane import INFINITY, Horoball
 from .numerics import InsufficientDigitsError
 
 _FLOAT_MAX = sys.float_info.max
+# most complete quotients, x itself included, that from_quadratic expands
+# while it looks for the period
+_QUADRATIC_MAX_STEPS = 10**6
 
 
 def _quotients(frac, limit=None):
@@ -93,8 +96,13 @@ class ContinuedFraction:
     def from_quadratic(cls, d, add, den):
         """Exact expansion of (add + sqrt(d))/den for integers, den >= 1.
 
-        Runs the integer recursion P' = aQ - P, Q' = (d - P'^2)/Q with exact
-        floors and detects the eventual period from repeated (P, Q) states.
+        Runs the integer recursion P' = aQ - P, Q' = (D - P'^2)/Q on the
+        complete quotients (P + sqrt(D))/Q with exact floors, where D is d, or
+        d den^2 when den does not divide d - add^2.  By Galois' theorem the
+        period starts at the first reduced complete quotient, the first with
+        0 < P <= s and s - P < Q <= s + P for s = isqrt(D), and closes when
+        that state recurs, so only that one state is kept.  Raises ValueError
+        if the period has not closed within 10^6 complete quotients.
         """
         d, add, den = int(d), int(add), int(den)
         if den < 1:
@@ -110,25 +118,21 @@ class ContinuedFraction:
             P, D, Q = P * Q, D * Q * Q, Q * Q
         s = math.isqrt(D)
         digits = []
-        seen = {}
-        period = ()
+        first = k = None  # state (P, Q) and digit index of the first reduced quotient
         # First output digit is floor(x) = 0; skip it and emit the rest.
-        for step in range(10_000):
+        for step in range(_QUADRATIC_MAX_STEPS):
             a = (P + s) // Q if Q > 0 else (P + s + 1) // Q
             if step > 0:
-                key = (P, Q)
-                if key in seen:
-                    start = seen[key]
-                    period = tuple(digits[start:])
-                    digits = digits[:start]
-                    break
-                seen[key] = len(digits)
+                if first is None:
+                    if 0 < P <= s and s - P < Q <= s + P:
+                        first, k = (P, Q), len(digits)
+                elif (P, Q) == first:
+                    return cls(digits[:k], digits[k:])
                 digits.append(a)
             P = a * Q - P
             Q = (D - P * P) // Q
-        if not period:
-            raise ValueError("period detection failed (state space too large)")
-        return cls(digits, period)
+        raise ValueError(
+            f"period detection failed: no period within {_QUADRATIC_MAX_STEPS} complete quotients")
 
     # -- digit access ------------------------------------------------------
 

@@ -62,6 +62,8 @@ _BERNOULLI = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6)
 _EM_TERMS = tuple((num / (den * math.factorial(2 * k)), 2.0 * k - 1.0, 2.0 * k)
                   for k, (num, den) in enumerate(_BERNOULLI, start=1))
 _EM_START = 24.0  # terms (q + j)^{-x} with q + j below this are summed directly
+_POWER_TOL = 1e-12  # relative move of the Rayleigh quotient that ends power iteration
+_POWER_MAX_ITER = 200_000
 
 
 def hurwitz_zeta(x, q):
@@ -113,28 +115,28 @@ def hurwitz_zeta(x, q):
     return h
 
 
-def power_iteration(mat, tol=1e-12, max_iter=200_000, v0=None):
+def power_iteration(mat, v0=None):
     """Dominant eigenvalue of a square matrix by plain power iteration.
 
     Returns (eigenvalue, eigenvector, iterations).  Convergence is declared
-    when the Rayleigh quotient moves by less than ``tol * max(1, |lam|)``.
+    when the Rayleigh quotient moves by less than ``_POWER_TOL * max(1, |lam|)``.
     Raises NumericError with diagnostics if the iteration does not settle.
     """
     n = mat.shape[0]
     v = np.full(n, 1.0 / math.sqrt(n)) if v0 is None else v0 / np.linalg.norm(v0)
     lam_prev = None
-    for it in range(1, max_iter + 1):
+    for it in range(1, _POWER_MAX_ITER + 1):
         w = mat @ v
         nrm = np.linalg.norm(w)
         if nrm == 0.0 or not np.isfinite(nrm):
             raise NumericError(f"power iteration degenerated at step {it} (norm={nrm})")
         lam = float(v @ w)
         v = w / nrm
-        if lam_prev is not None and abs(lam - lam_prev) <= tol * max(1.0, abs(lam)):
+        if lam_prev is not None and abs(lam - lam_prev) <= _POWER_TOL * max(1.0, abs(lam)):
             return lam, v, it
         lam_prev = lam
     raise NumericError(
-        f"power iteration did not converge in {max_iter} steps "
+        f"power iteration did not converge in {_POWER_MAX_ITER} steps "
         f"(last eigenvalue estimate {lam_prev!r}, matrix size {n})"
     )
 
@@ -218,6 +220,17 @@ def _basis_at(nodes, bw, u):
     return vals
 
 
+def _digit_blocks(x, lo, hi, entries):
+    """The (len(x), digits) blocks a + x for the digits a = lo..hi in order,
+    max(1, entries // len(x)) digits each (the last may hold fewer).  A caller
+    that folds each block in before taking the next holds O(entries) values
+    at a time, however many digits the range has."""
+    step = max(1, entries // len(x))
+    for start in range(lo, hi + 1, step):
+        a = np.arange(start, min(start + step, hi + 1), dtype=float)
+        yield x[:, None] + a[None, :]
+
+
 _TAIL_ORDER = 5  # polynomial terms of the interpolant used for the zeta tail
 _ASSEMBLY_BLOCK = 1 << 20  # basis values (nodes^2 per digit) per assembly chunk
 
@@ -238,16 +251,13 @@ class _CollocationOperator:
 
     def matrix(self, s):
         k = len(self.x)
-        a_lo, a_hi = self.alphabet.lower, self.direct_hi
         out = np.zeros((k, k))
-        chunk = max(1, _ASSEMBLY_BLOCK // (k * k))
-        for start in range(a_lo, a_hi + 1, chunk):
-            avals = np.arange(start, min(start + chunk, a_hi + 1), dtype=float)
-            denom = self.x[:, None] + avals[None, :]          # (k, c)
+        for denom in _digit_blocks(self.x, self.alphabet.lower, self.direct_hi,
+                                   _ASSEMBLY_BLOCK // k):  # (k, c)
             wgt = denom ** (-2.0 * s)
             # a temporary basis block, freed before the next chunk builds its own
             out += np.einsum("kc,kcj->kj", wgt, _basis_at(
-                self.x, self.bw, (1.0 / denom).ravel()).reshape(k, len(avals), k))
+                self.x, self.bw, (1.0 / denom).ravel()).reshape(*denom.shape, k))
         if self.alphabet.infinite:
             # the interpolant on the tail interval [0, eps] as a polynomial
             # sum_m c_m (u/eps)^m through its values at _TAIL_ORDER Lobatto
@@ -297,8 +307,7 @@ class _UlamOperator:
             raise ValueError("need at least 64 bins")
         self.alphabet = alphabet
         self.bins = bins
-        self.h = alphabet.domain
-        self.w = self.h / bins
+        self.w = alphabet.domain / bins
         self.x = (np.arange(bins) + 0.5) * self.w
         # Infinite ranges: digits below the split are scattered bin-by-bin,
         # the tail beyond it is aggregated per target bin with Hurwitz zeta
@@ -310,30 +319,23 @@ class _UlamOperator:
         else:
             self.direct_hi = alphabet.upper
 
-    def _direct_blocks(self, s):
-        """Target columns and weights (a + x)^{-2s} of the direct digits as
-        (bins, digits) arrays, one block of digits at a time, so that memory
-        stays O(_SCATTER_BLOCK) however many digits are direct."""
-        b = self.bins
-        step = max(1, _SCATTER_BLOCK // b)
-        for start in range(self.alphabet.lower, self.direct_hi + 1, step):
-            a = np.arange(start, min(start + step, self.direct_hi + 1), dtype=float)
-            ax = self.x[:, None] + a[None, :]
-            col = np.minimum((1.0 / (ax * self.w)).astype(np.intp), b - 1)
-            yield col, ax ** (-2.0 * s)
+    def _columns(self, ax):
+        """Target bins min(int(1/((a + x) w)), bins - 1) of a block of a + x."""
+        return np.minimum((1.0 / (ax * self.w)).astype(np.intp), self.bins - 1)
 
     def matrix(self, s):
         b, w, x = self.bins, self.w, self.x
-        infinite = self.alphabet.infinite
-        digits = self.direct_hi - self.alphabet.lower + 1
-        if not infinite and digits * _GATHER_RATIO <= b:
-            cols, wgts = zip(*self._direct_blocks(s))
-            return _GatherMatrix(np.hstack(cols), np.hstack(wgts))
+        lo, hi, infinite = self.alphabet.lower, self.direct_hi, self.alphabet.infinite
+        if not infinite and (hi - lo + 1) * _GATHER_RATIO <= b:
+            # at most b^2 / 8 (digit, bin) pairs, so one block of b^2 holds them
+            ax, = _digit_blocks(x, lo, hi, b * b)
+            return _GatherMatrix(self._columns(ax), ax ** (-2.0 * s))
         mat = np.zeros((b, b))
         row_start = b * np.arange(b)[:, None]
-        for col, wgt in self._direct_blocks(s):
+        for ax in _digit_blocks(x, lo, hi, _SCATTER_BLOCK):
             # unbuffered, in digit order per cell, as a loop over digits would add
-            np.add.at(mat.ravel(), (col + row_start).ravel(), wgt.ravel())
+            np.add.at(mat.ravel(), (self._columns(ax) + row_start).ravel(),
+                      (ax ** (-2.0 * s)).ravel())
         if not infinite:
             return mat
         # Z_k = sum over tail digits a of (a + x)^{-2s} with 1/(a + x) < k w,
@@ -386,16 +388,13 @@ def _pressure_root(op, crude, tol):
     """
     if op.alphabet.upper == op.alphabet.lower:
         return 0.0, 0.0
-    state = {"v": None}
-    lams = {}
+    lams, vec = {}, [None]  # each power iteration starts from the last eigenvector
 
     def f(s):
-        lam, vec, _ = power_iteration(op.matrix(s), v0=state["v"])
-        state["v"] = vec
-        lams[s] = lam
+        lams[s], vec[0], _ = power_iteration(op.matrix(s), v0=vec[0])
         # the pressure log(lambda) has the sign of lambda - 1 and is convex
         # and nearly linear in s, so interpolation steps converge fast
-        return math.log(lam)
+        return math.log(lams[s])
 
     if crude is not None:
         lo, hi = crude[0] - 1e-9, crude[1] + 1e-9

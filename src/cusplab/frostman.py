@@ -35,24 +35,31 @@ from .contfrac import _quotients, convergent_pairs
 _MAX_SUPPORT = 10**7
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CylinderMeasure:
-    """Product measure over digit cylinders with digits in [lo, hi]."""
+    """Product measure over digit cylinders with digits in [lo, hi].
+
+    ``weights`` may be any sequence, one weight per digit; the measure holds
+    it as a read-only float64 array.
+    """
 
     lo: int
     hi: int
-    weights: tuple
+    weights: np.ndarray
 
     def __post_init__(self):
         if self.lo < 1 or self.hi < self.lo:
             raise ValueError("need 1 <= lo <= hi")
-        if len(self.weights) != self.hi - self.lo + 1:
+        weights = np.array(self.weights, dtype=float)
+        if weights.shape != (self.hi - self.lo + 1,):
             raise ValueError("one weight per digit required")
-        if any(w < 0 for w in self.weights):
+        if (weights < 0).any():
             raise ValueError("weights must be nonnegative")
-        total = math.fsum(self.weights)
+        total = float(weights.sum())
         if not math.isfinite(total) or abs(total - 1.0) > 1e-12:
             raise ValueError(f"weights must sum to 1 (within 1e-12), got {total}")
+        weights.flags.writeable = False
+        object.__setattr__(self, "weights", weights)
 
     @classmethod
     def from_rule(cls, lo, hi, rule="inverse_successor"):
@@ -68,12 +75,11 @@ class CylinderMeasure:
             raw = np.ones_like(a)
         else:
             raise ValueError(f"unknown weight rule {rule!r}")
-        w = raw / raw.sum()
-        return cls(lo, hi, tuple(w))
+        return cls(lo, hi, raw / raw.sum())
 
     def weight(self, digit: int) -> float:
         if self.lo <= digit <= self.hi:
-            return self.weights[digit - self.lo]
+            return float(self.weights[digit - self.lo])
         return 0.0
 
     @cached_property

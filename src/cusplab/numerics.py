@@ -7,6 +7,7 @@ import math
 import sys
 
 _EPS = sys.float_info.epsilon
+_ROOT_MAX_ITER = 300  # Brent steps before bracketed_root gives up
 
 
 class NumericError(RuntimeError):
@@ -25,7 +26,7 @@ def tail_extreme(pick, values):
     return math.nan if any(map(math.isnan, tail)) else pick(tail)
 
 
-def bracketed_root(f, lo, hi, xtol=1e-10, max_iter=300, flo=None, fhi=None):
+def bracketed_root(f, lo, hi, xtol=1e-10, flo=None, fhi=None):
     """Root of f in [lo, hi] by Brent's method (Brent 1973, "zeroin").
 
     The bracket must be sign-changing, else ValueError.  Each step takes an
@@ -34,8 +35,8 @@ def bracketed_root(f, lo, hi, xtol=1e-10, max_iter=300, flo=None, fhi=None):
     interpolation cannot stall it.  The result is the evaluated point
     with the smallest |f| of the final bracket, which is at most ``xtol``
     wide: it lies in [lo, hi] and within ``xtol`` of a sign change.  Pass
-    flo/fhi to reuse endpoint evaluations.  Raises NumericError if
-    ``max_iter`` steps do not get there.
+    flo/fhi to reuse endpoint evaluations.  Raises NumericError if 300 steps
+    do not get there.
     """
     fa = f(lo) if flo is None else flo
     fb = f(hi) if fhi is None else fhi
@@ -50,7 +51,7 @@ def bracketed_root(f, lo, hi, xtol=1e-10, max_iter=300, flo=None, fhi=None):
     a, b = lo, hi
     c, fc = a, fa
     d = e = b - a
-    for _ in range(max_iter):
+    for _ in range(_ROOT_MAX_ITER):
         if fb * fc > 0:
             c, fc = a, fa
             d = e = b - a
@@ -82,6 +83,6 @@ def bracketed_root(f, lo, hi, xtol=1e-10, max_iter=300, flo=None, fhi=None):
         b += d if abs(d) > tol1 else math.copysign(tol1, m)
         fb = f(b)
     raise NumericError(
-        f"root finder did not converge in {max_iter} steps on [{lo}, {hi}] "
+        f"root finder did not converge in {_ROOT_MAX_ITER} steps on [{lo}, {hi}] "
         f"(best point {b!r}, f={fb!r})"
     )

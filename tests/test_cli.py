@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import cusplab.contfrac
 from cusplab.cli import main, parse_generator_spec, parse_weights_spec, parse_x_spec
 from cusplab.config import RunConfig
 from cusplab.excursions import excursion_trace, good_membership
@@ -85,6 +86,17 @@ def test_cf_periodic_convergents(capsys):
     assert main(["cf", "(2)", "--n", "3"]) == 0
     _, rows = parse_csv(capsys.readouterr().out)
     assert [(r[2], r[3]) for r in rows] == [("1", "2"), ("2", "5"), ("5", "12")]
+
+
+def test_cf_long_quadratic_period(capsys, monkeypatch):
+    # a period of 12352 digits, past what a table of every state allowed
+    assert main(["cf", "sqrt:1000000007-31622/1", "--n", "5"]) == 0
+    _, rows = parse_csv(capsys.readouterr().out)
+    assert [int(r[1]) for r in rows] == [1, 3, 2, 11, 6]
+    # a period that does not close within the step cap is a usage error
+    monkeypatch.setattr(cusplab.contfrac, "_QUADRATIC_MAX_STEPS", 10_000)
+    assert main(["cf", "sqrt:1000000007-31622/1", "--n", "5"]) == 2
+    assert "period detection failed" in capsys.readouterr().err
 
 
 def test_cf_bad_spec_exit_code():

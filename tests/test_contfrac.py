@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cusplab as cl
+import cusplab.contfrac as contfrac_module
 from cusplab.contfrac import ContinuedFraction
 from cusplab.numerics import InsufficientDigitsError
 
@@ -46,6 +47,69 @@ def test_quadratic_validation():
         ContinuedFraction.from_quadratic(4, -1, 1)   # square
     with pytest.raises(ValueError):
         ContinuedFraction.from_quadratic(2, 1, 1)    # value > 1
+
+
+def _quadratic_by_state_table(d, add, den, max_steps=10**6):
+    """(prefix, period) of (add + sqrt(d))/den from the same integer
+    recursion, with the period found as the first (P, Q) state seen twice,
+    every state kept in a table."""
+    P, Q, D = add, den, d
+    if (D - P * P) % Q != 0:
+        P, D, Q = P * Q, D * Q * Q, Q * Q
+    s = math.isqrt(D)
+    digits, seen = [], {}
+    for step in range(max_steps):
+        a = (P + s) // Q if Q > 0 else (P + s + 1) // Q
+        if step > 0:
+            if (P, Q) in seen:
+                start = seen[P, Q]
+                return tuple(digits[:start]), tuple(digits[start:])
+            seen[P, Q] = len(digits)
+            digits.append(a)
+        P = a * Q - P
+        Q = (D - P * P) // Q
+    raise AssertionError("no period")
+
+
+@st.composite
+def _quadratics(draw):
+    """(d, add, den) with d <= 10^6 not a square, den <= 50 and the value
+    (add + sqrt(d))/den in (0, 1)."""
+    d = draw(st.integers(min_value=2, max_value=10**6).filter(
+        lambda d: math.isqrt(d) ** 2 != d))
+    den = draw(st.integers(min_value=1, max_value=50))
+    return d, draw(st.integers(min_value=0, max_value=den - 1)) - math.isqrt(d), den
+
+
+@settings(max_examples=300, deadline=None)
+@given(_quadratics())
+@example((2, -1, 1))
+@example((7, -2, 1))
+@example((5, -1, 2))       # den divides d - add^2: no rescaling
+@example((3, 0, 2))        # den does not: rescaled to d den^2
+@example((999_999, -950, 50))
+def test_quadratic_period_matches_state_table(args):
+    cf = ContinuedFraction.from_quadratic(*args)
+    assert (cf.prefix, cf.period) == _quadratic_by_state_table(*args)
+
+
+def test_quadratic_long_period():
+    # sqrt(10^12 + 39) has a period of 532572 digits, far past a table of
+    # 10^4 states; only the first reduced state is kept
+    cf = ContinuedFraction.from_quadratic(10**12 + 39, -10**6, 1)
+    assert cf.prefix == () and len(cf.period) == 532_572
+    assert cf.period[-1] == 2 * 10**6
+
+
+def test_quadratic_period_past_the_step_cap_raises(monkeypatch):
+    # sqrt(1000000007) - 31622 has a period of 12352 digits, which closes
+    # at the 12354th complete quotient
+    monkeypatch.setattr(contfrac_module, "_QUADRATIC_MAX_STEPS", 12_353)
+    with pytest.raises(ValueError, match="period detection failed"):
+        ContinuedFraction.from_quadratic(1_000_000_007, -31_622, 1)
+    # x, the 12352 period quotients and the first of them once more
+    monkeypatch.setattr(contfrac_module, "_QUADRATIC_MAX_STEPS", 12_354)
+    assert len(ContinuedFraction.from_quadratic(1_000_000_007, -31_622, 1).period) == 12_352
 
 
 def test_float_expansion_flags_unreliable():

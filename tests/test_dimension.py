@@ -11,6 +11,7 @@ from cusplab.dimension import (
     _UlamOperator,
     _bary_weights,
     _basis_at,
+    _digit_blocks,
     _lobatto_nodes,
     _pressure_root,
     crude_critical_exponent,
@@ -141,6 +142,23 @@ def test_collocation_rowsum_identity():
             rowsum = op.matrix(s) @ np.ones(16)
             exact = hurwitz_zeta(2 * s, lower + op.x)
             assert np.max(np.abs(rowsum - exact)) < 1e-12
+
+
+@pytest.mark.parametrize("lo, hi, entries", [
+    (3, 40, 64), (3, 40, 16), (3, 40, 5), (1, 1, 100), (7, 7, 1), (2, 1000, 1 << 20)])
+def test_digit_blocks_tile_the_range_in_order(lo, hi, entries):
+    # every digit once, in order, at most max(1, entries // len(x)) per
+    # block, every block full but the last; entries below len(x) still
+    # give one digit a block
+    x = np.linspace(0.0, 0.5, 16)
+    step = max(1, entries // len(x))
+    blocks = list(_digit_blocks(x, lo, hi, entries))
+    digits = np.concatenate([blk[0] - x[0] for blk in blocks])
+    assert np.array_equal(digits, np.arange(lo, hi + 1, dtype=float))
+    assert [blk.shape[1] for blk in blocks[:-1]] == [step] * (len(blocks) - 1)
+    assert 1 <= blocks[-1].shape[1] <= step
+    for blk in blocks:
+        assert np.array_equal(blk, x[:, None] + (blk[0] - x[0])[None, :])
 
 
 def test_collocation_assembly_memory_bounded():
@@ -372,7 +390,7 @@ def test_pressure_monotone_in_s():
         op = _CollocationOperator(alphabet, 14)
         lams = []
         for s in np.linspace(0.55 if alphabet.infinite else 0.2, 1.2, 7):
-            lam, _, _ = power_iteration(op.matrix(s), tol=1e-12)
+            lam, _, _ = power_iteration(op.matrix(s))
             lams.append(lam)
         assert all(a > b for a, b in zip(lams, lams[1:]))
 
@@ -477,7 +495,7 @@ def test_residual_is_lambda_at_the_returned_root():
     for alphabet in (DigitAlphabet(1, 2), DigitAlphabet(7, None)):
         est = transfer_dimension(alphabet, nodes=16)
         op = _CollocationOperator(alphabet, 16)
-        lam, _, _ = power_iteration(op.matrix(est.dim), tol=1e-12)
+        lam, _, _ = power_iteration(op.matrix(est.dim))
         assert est.residual == pytest.approx(abs(lam - 1.0), abs=1e-11)
 
 

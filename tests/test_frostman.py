@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -156,6 +157,34 @@ def test_weights_validation():
     for lo, hi in ((1, 10 ** 12), (5, 10 ** 7 + 5)):
         with pytest.raises(ValueError, match=rf"digit range \[{lo}, {hi}\] exceeds 10000000"):
             CylinderMeasure.from_rule(lo, hi)
+
+
+def test_weights_held_as_read_only_array():
+    # any sequence is taken; the measure holds its own float64 copy
+    source = [0.25, 0.75]
+    for weights in (source, tuple(source), np.array(source)):
+        m = CylinderMeasure(3, 4, weights)
+        assert m.weights.dtype == np.float64 and m.weights.tolist() == source
+        assert not m.weights.flags.writeable
+        with pytest.raises(ValueError):
+            m.weights[0] = 0.5
+        assert type(m.weight(4)) is float and m.weight(4) == 0.75
+    for bad in ((0.5, math.nan), (math.inf, 0.0), ((0.5, 0.5),), [[0.5], [0.5]]):
+        with pytest.raises(ValueError):
+            CylinderMeasure(3, 4, bad)
+
+
+def test_wide_range_sample_memory_bounded():
+    # 10^6 digits: the weights, their cumulative and suffix sums and the
+    # from_rule temporaries are float64 arrays of 8 MB each; held as a tuple
+    # of Python floats they took 62 MB and 1.4 s
+    tracemalloc.start()
+    try:
+        sample_rows(CylinderMeasure.from_rule(1, 10 ** 6), 0, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 45e6
 
 
 def test_good_weight_range_rule():
