@@ -28,11 +28,15 @@ Three routes are implemented and cross-checked against each other:
   the full infinite tail.  Used purely as an independent oracle.
 
 Both discretizations find the root of lambda(s) = 1 with Brent's method
-(``numerics.bracketed_root``), inside the crude bracket for {a >= N}, N >= 2,
-and inside a fixed bracket otherwise, as the sign change of the pressure
-log lambda(s).  Each trial s costs one operator assembly and one power
-iteration; a solve takes about 4-10 of them.  The reported residual
-|lambda(root) - 1| comes from the evaluation at the root.
+(``numerics.bracketed_root``), as the sign change of the pressure
+log lambda(s), inside a rigorous crude bracket: the crude exponents for
+{a >= N}, N >= 2, and for a finite range {N..M} the roots of the direct sums
+sum (a + 1/N)^{-2s} = 1 and sum a^{-2s} = 1 (s = 2 for N = 1); only {a >= 1}
+takes the fixed [1/2, 2].  Each operator builds what does not depend on s
+once, when it is made, so each trial s costs the s-dependent part of one
+assembly and one power iteration; a solve takes 4-8 of them (about 5 on
+average).  The reported residual |lambda(root) - 1| comes from the
+evaluation at the root.
 
 All three routes take their Hurwitz zeta values from ``hurwitz_zeta``, a
 direct sum plus an Euler-Maclaurin tail in numpy (scalar or array q).
@@ -87,11 +91,22 @@ def hurwitz_zeta(x, q):
     if not (lo > 0.0 and hi < math.inf):
         raise ValueError(f"hurwitz_zeta needs every q finite and > 0, got min {lo}, max {hi}")
     total = 0.0
-    # enough steps to lift the smallest q to 24; a q already there adds 0
-    for _ in range(math.ceil(_EM_START - lo)):
-        small = q < _EM_START
-        total += small * q ** -x
-        q += small
+    if np.ndim(q) == 0:
+        while q < _EM_START:
+            total += q ** -x
+            q += 1.0
+    elif lo < _EM_START:
+        # only the entries below 24 take the steps that lift the smallest to
+        # 24; one already there adds 0
+        total = np.zeros_like(q)
+        flat_q, flat_total = q.reshape(-1), total.reshape(-1)
+        idx = np.flatnonzero(flat_q < _EM_START)
+        qi, acc = flat_q[idx], 0.0
+        for _ in range(math.ceil(_EM_START - lo)):
+            small = qi < _EM_START
+            acc += small * qi ** -x
+            qi += small
+        flat_q[idx], flat_total[idx] = qi, acc
     # x(x+1)...(x+2j-2) B_2j/(2j)!, innermost (j = 8) first for Horner's rule
     coeffs, rising = [], x
     for c, u, v in _EM_TERMS:
@@ -233,9 +248,17 @@ def _digit_blocks(x, lo, hi, entries):
 
 _TAIL_ORDER = 5  # polynomial terms of the interpolant used for the zeta tail
 _ASSEMBLY_BLOCK = 1 << 20  # basis values (nodes^2 per digit) per assembly chunk
+# Infinite ranges: digits up to _DIRECT_RATIO * N are summed one by one and
+# the rest by the zeta tail, whose interpolation error falls with both the
+# cutoff and N (see the module docstring), so one ratio serves every N.
+_DIRECT_RATIO = 16
 
 
 class _CollocationOperator:
+    """The collocation matrix at any s.  What does not depend on s, the tail's
+    interpolation coefficients and, when the direct digits fit one assembly
+    chunk, that chunk's a + x and basis values, is built once, here."""
+
     def __init__(self, alphabet: DigitAlphabet, nodes: int):
         if nodes < 8:
             raise ValueError("need at least 8 collocation nodes")
@@ -243,33 +266,41 @@ class _CollocationOperator:
         h = alphabet.domain
         self.x = _lobatto_nodes(nodes, h)
         self.bw = _bary_weights(nodes)
-        # Infinite ranges: digits up to direct_hi = 16N are summed one by one
-        # and the rest by the zeta tail, whose interpolation error falls with
-        # both direct_hi and N (see the module docstring), so one ratio serves
-        # every N.
-        self.direct_hi = 16 * alphabet.lower if alphabet.infinite else alphabet.upper
-
-    def matrix(self, s):
-        k = len(self.x)
-        out = np.zeros((k, k))
-        for denom in _digit_blocks(self.x, self.alphabet.lower, self.direct_hi,
-                                   _ASSEMBLY_BLOCK // k):  # (k, c)
-            wgt = denom ** (-2.0 * s)
-            # a temporary basis block, freed before the next chunk builds its own
-            out += np.einsum("kc,kcj->kj", wgt, _basis_at(
-                self.x, self.bw, (1.0 / denom).ravel()).reshape(*denom.shape, k))
-        if self.alphabet.infinite:
+        self.direct_hi = (_DIRECT_RATIO * alphabet.lower if alphabet.infinite
+                          else alphabet.upper)
+        digits = self.direct_hi - alphabet.lower + 1
+        self.kept = (list(self._direct_blocks())
+                     if digits <= max(1, _ASSEMBLY_BLOCK // nodes // nodes) else None)
+        if alphabet.infinite:
             # the interpolant on the tail interval [0, eps] as a polynomial
             # sum_m c_m (u/eps)^m through its values at _TAIL_ORDER Lobatto
             # points there; (a + x)^{-2s} (u/eps)^m at u = 1/(a + x) sums over
             # the tail digits to eps^-m zeta(2s + m, direct_hi + 1 + x)
-            eps = 1.0 / (self.direct_hi + 1.0)
+            self.eps = 1.0 / (self.direct_hi + 1.0)
             t = _lobatto_nodes(_TAIL_ORDER, 1.0)
-            coef = np.linalg.solve(np.vander(t, increasing=True),
-                                   _basis_at(self.x, self.bw, eps * t))  # (m, nodes)
+            self.coef = np.linalg.solve(np.vander(t, increasing=True),
+                                        _basis_at(self.x, self.bw, self.eps * t))  # (m, nodes)
+            self.tail_q = self.direct_hi + 1.0 + self.x
+
+    def _direct_blocks(self):
+        """(a + x, basis values at 1/(a + x)) per chunk of direct digits, of
+        shapes (k, c) and (k, c, k); each chunk is built when it is taken."""
+        k = len(self.x)
+        for denom in _digit_blocks(self.x, self.alphabet.lower, self.direct_hi,
+                                   _ASSEMBLY_BLOCK // k):
+            yield denom, _basis_at(self.x, self.bw, (1.0 / denom).ravel()).reshape(
+                *denom.shape, k)
+
+    def matrix(self, s):
+        k = len(self.x)
+        out = np.zeros((k, k))
+        # a streamed basis block is freed before the next chunk builds its own
+        for denom, basis in self.kept or self._direct_blocks():
+            out += np.einsum("kc,kcj->kj", denom ** (-2.0 * s), basis)
+        if self.alphabet.infinite:
             for m in range(_TAIL_ORDER):
-                zet = hurwitz_zeta(2.0 * s + m, self.direct_hi + 1.0 + self.x)
-                out += np.outer(zet * eps ** -m, coef[m])
+                zet = hurwitz_zeta(2.0 * s + m, self.tail_q)
+                out += np.outer(zet * self.eps ** -m, self.coef[m])
         return out
 
 
@@ -318,18 +349,24 @@ class _UlamOperator:
                 64, int(2.5 * math.sqrt(alphabet.lower * bins)))
         else:
             self.direct_hi = alphabet.upper
+        # a gathered range keeps its target columns and a + x, which do not
+        # depend on s; at most bins^2 / 8 pairs, so one block of bins^2 holds them
+        self.gather = None
+        if not alphabet.infinite and (
+                self.direct_hi - alphabet.lower + 1) * _GATHER_RATIO <= bins:
+            ax, = _digit_blocks(self.x, alphabet.lower, self.direct_hi, bins * bins)
+            self.gather = self._columns(ax), ax
 
     def _columns(self, ax):
         """Target bins min(int(1/((a + x) w)), bins - 1) of a block of a + x."""
         return np.minimum((1.0 / (ax * self.w)).astype(np.intp), self.bins - 1)
 
     def matrix(self, s):
+        if self.gather is not None:
+            col, ax = self.gather
+            return _GatherMatrix(col, ax ** (-2.0 * s))
         b, w, x = self.bins, self.w, self.x
         lo, hi, infinite = self.alphabet.lower, self.direct_hi, self.alphabet.infinite
-        if not infinite and (hi - lo + 1) * _GATHER_RATIO <= b:
-            # at most b^2 / 8 (digit, bin) pairs, so one block of b^2 holds them
-            ax, = _digit_blocks(x, lo, hi, b * b)
-            return _GatherMatrix(self._columns(ax), ax ** (-2.0 * s))
         mat = np.zeros((b, b))
         row_start = b * np.arange(b)[:, None]
         for ax in _digit_blocks(x, lo, hi, _SCATTER_BLOCK):
@@ -364,18 +401,38 @@ class DimensionEstimate:
     bracket_hi: float | None = None
 
 
-def _crude_bracket(alphabet, tol):
-    """The crude exponents (shift 1, shift 0) for {a >= N}, N >= 2, else None.
+def _direct_crude_exponent(lo, hi, shift, tol):
+    """The s in [0, 2] with sum_{a=lo..hi} (a + shift)^{-2s} = 1, summed
+    directly: a finite range's root can lie below 1/2, where no zeta series
+    converges.  Every a + shift must be at least 2, so that the sum falls
+    below 1 at s = 2."""
+    shifted = np.array([shift])
 
-    They bracket the pressure root rigorously, since sum (a+1)^{-2s} <=
-    (L_s 1)(x) <= sum a^{-2s} pointwise.  They are solved to at least 1e-10
-    so that the 1e-9 margin the root search adds keeps the bracket valid.
+    def f(s):
+        return math.log(sum(float(np.sum(blk ** (-2.0 * s))) for blk in _digit_blocks(
+            shifted, lo, hi, _ASSEMBLY_BLOCK)))
+
+    return bracketed_root(f, 0.0, 2.0, xtol=tol)
+
+
+def _crude_bracket(alphabet, tol):
+    """Bounds (lower, upper) on the pressure root, or None for {a >= 1}.
+
+    On [0, 1/N], N the least digit, sum (a + 1/N)^{-2s} <= (L_s 1)(x) <=
+    sum a^{-2s} pointwise for s >= 0, so the root lies between the roots of
+    the two sums.  {a >= N}, N >= 2, takes the crude exponents (shift 1 in
+    place of 1/N).  A finite range takes the two sums directly, and s = 2,
+    where every sub-alphabet of the Gauss map has negative pressure, as its
+    upper bound when N = 1.  The bounds are solved to at least 1e-10 so that
+    the 1e-9 margin the root search adds keeps the bracket valid.
     """
-    if not (alphabet.infinite and alphabet.lower >= 2):
-        return None
-    tol = min(tol, 1e-10)
-    return (crude_critical_exponent(alphabet.lower, 1, tol),
-            crude_critical_exponent(alphabet.lower, 0, tol))
+    n, tol = alphabet.lower, min(tol, 1e-10)
+    if alphabet.infinite:
+        if n < 2:
+            return None
+        return crude_critical_exponent(n, 1, tol), crude_critical_exponent(n, 0, tol)
+    upper = 2.0 if n == 1 else _direct_crude_exponent(n, alphabet.upper, 0.0, tol)
+    return _direct_crude_exponent(n, alphabet.upper, 1.0 / n, tol), upper
 
 
 def _pressure_root(op, crude, tol):
@@ -398,12 +455,9 @@ def _pressure_root(op, crude, tol):
 
     if crude is not None:
         lo, hi = crude[0] - 1e-9, crude[1] + 1e-9
-    elif op.alphabet.infinite:
-        lo, hi = 0.5 + 1e-9, 2.0
     else:
-        lo, hi = -1.0, 2.0
-    # hi is the rigorous crude exponent, or s = 2, where every sub-alphabet
-    # of the Gauss map has negative pressure: f(hi) > 0 signals a defect
+        lo, hi = 0.5 + 1e-9, 2.0
+    # both ends are rigorous: f(lo) <= 0 or f(hi) > 0 signals a defect
     f_lo, f_hi = f(lo), f(hi)
     if f_lo <= 0 or f_hi > 0:
         raise NumericError(
@@ -415,7 +469,7 @@ def _pressure_root(op, crude, tol):
 
 def transfer_dimension(alphabet: DigitAlphabet, nodes=20, tol=1e-10) -> DimensionEstimate:
     """Dimension of the digit-restricted set via collocation of the transfer
-    operator; for infinite ranges the crude-exponent bracket is attached."""
+    operator, with the crude bounds that bracket it (none for {a >= 1})."""
     op = _CollocationOperator(alphabet, nodes)
     crude = _crude_bracket(alphabet, tol)
     root, residual = _pressure_root(op, crude, tol)

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -90,6 +91,36 @@ def test_hurwitz_zeta_rejects_bad_arguments(x, q):
         dimension_module.hurwitz_zeta(x, q)
 
 
+def hurwitz_full_array_oracle(x, q):
+    """The kernel with its direct sum taken over the whole array on each of
+    ceil(24 - min q) steps, adding 0 for every q already at 24: the lifted q
+    go to the kernel, which then sums no terms directly."""
+    q = float(q) if np.ndim(q) == 0 else np.array(q, dtype=float)
+    total = 0.0
+    for _ in range(math.ceil(24.0 - np.min(q))):
+        small = q < 24.0
+        total += small * q ** -x
+        q += small
+    return dimension_module.hurwitz_zeta(x, q) + total
+
+
+def test_hurwitz_direct_sum_matches_full_array_loop():
+    # the direct sum steps only the entries still below 24: the same partial
+    # sums, so the same bits, for arrays that mix small and large q and for
+    # scalars
+    rng = np.random.default_rng(12)
+    q = np.concatenate([rng.uniform(1.0, 1e6, 600), rng.uniform(1.0, 24.0, 80),
+                        np.arange(1.0, 25.0), [0.5, 23.999, 1e-3]])
+    rng.shuffle(q)
+    for x in (1 + 1e-6, 1.3, 2.0, 6.5):
+        for qq in (q, q.reshape(7, -1)):
+            assert np.array_equal(dimension_module.hurwitz_zeta(x, qq),
+                                  hurwitz_full_array_oracle(x, qq))
+        for v in q[:40]:
+            assert dimension_module.hurwitz_zeta(x, float(v)) == hurwitz_full_array_oracle(
+                x, float(v))
+
+
 def test_crude_matches_hurwitz_oracle():
     # independent oracle: bisect zeta(2s, n+shift) = 1 with scipy's Hurwitz zeta
     for n, shift in [(2, 0), (2, 1), (5, 0), (10, 1), (100, 0)]:
@@ -165,15 +196,53 @@ def test_collocation_assembly_memory_bounded():
     # a chunk's basis block holds at most _ASSEMBLY_BLOCK values (8.4 MB) and
     # is freed before the next one is built, so an assembly peaks near one
     # block at any node count; the 961 direct digits of {a >= 64} would take
-    # 31 MB in one block at 64 nodes
-    op = _CollocationOperator(DigitAlphabet(64, None), 64)
-    tracemalloc.start()
-    try:
-        op.matrix(0.8)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 20e6
+    # 31 MB in one block at 64 nodes.  The 256 of {a >= 17} fill exactly one
+    # block, which the operator keeps from its construction on
+    for lower, kept in ((64, False), (17, True)):
+        tracemalloc.start()
+        try:
+            op = _CollocationOperator(DigitAlphabet(lower, None), 64)
+            op.matrix(0.8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (op.kept is not None) == kept
+        assert peak < 20e6
+
+
+@pytest.mark.parametrize("make, kind", [
+    (lambda: _CollocationOperator(DigitAlphabet(1, 2), 20), "kept"),
+    (lambda: _CollocationOperator(DigitAlphabet(5, None), 20), "kept"),
+    (lambda: _CollocationOperator(DigitAlphabet(3, 4000), 40), "streamed"),
+    (lambda: _UlamOperator(DigitAlphabet(5, 12), 256), "gather")])
+def test_operator_geometry_is_not_changed_by_an_evaluation(make, kind):
+    # the geometry an operator builds once serves every s: one operator
+    # evaluated at 0.6, 0.9, 0.6 gives the bytes of a fresh operator at each s
+    op = make()
+    assert (kind == "kept") == (getattr(op, "kept", None) is not None)
+    assert (kind == "gather") == (getattr(op, "gather", None) is not None)
+
+    def as_bytes(m):
+        return m.tobytes() if isinstance(m, np.ndarray) else m.col.tobytes() + m.wgt.tobytes()
+
+    for s in (0.6, 0.9, 0.6):
+        assert as_bytes(op.matrix(s)) == as_bytes(make().matrix(s))
+
+
+@pytest.mark.parametrize("alphabet, calls_per_solve", [
+    (DigitAlphabet(1, 2), 1), (DigitAlphabet(5, None), 2)])
+def test_collocation_basis_built_once_per_solve(monkeypatch, alphabet, calls_per_solve):
+    # a range whose direct digits fit one chunk takes their basis values, and
+    # an infinite range its tail coefficients, once per solve, not once per
+    # evaluation
+    basis_calls, evals = [], []
+    monkeypatch.setattr(dimension_module, "_basis_at",
+                        lambda *args: basis_calls.append(1) or _basis_at(*args))
+    monkeypatch.setattr(dimension_module, "power_iteration",
+                        lambda mat, **kw: evals.append(1) or power_iteration(mat, **kw))
+    transfer_dimension(alphabet)
+    assert len(evals) >= 4
+    assert len(basis_calls) == calls_per_solve
 
 
 def test_collocation_chunks_match_single_chunk(monkeypatch):
@@ -189,12 +258,12 @@ def test_collocation_chunks_match_single_chunk(monkeypatch):
         assert np.allclose(chunked, single, rtol=1e-13, atol=0.0)
 
 
-def collocation_root(n, nodes, ratio=None):
+def collocation_root(monkeypatch, n, nodes, ratio):
     """transfer_dimension's root for {a >= n}, with the direct sum taken to
-    ratio * n when a ratio is given."""
-    op = _CollocationOperator(DigitAlphabet(n, None), nodes)
-    if ratio is not None:
-        op.direct_hi = ratio * n
+    ratio * n."""
+    with monkeypatch.context() as patch:
+        patch.setattr(dimension_module, "_DIRECT_RATIO", ratio)
+        op = _CollocationOperator(DigitAlphabet(n, None), nodes)
     crude = (crude_critical_exponent(n, 1), crude_critical_exponent(n, 0))
     return _pressure_root(op, crude, 1e-10)[0]
 
@@ -202,16 +271,16 @@ def collocation_root(n, nodes, ratio=None):
 @pytest.mark.parametrize("n, nodes", [(2, 12), (3, 12), (5, 12), (2, 20), (3, 20),
                                       (5, 20), (2, 40), (2, 64), (5, 64), (2, 80),
                                       (5, 80), (2, 100), (5, 100)])
-def test_collocation_cutoff_matches_far_reference(n, nodes):
+def test_collocation_cutoff_matches_far_reference(monkeypatch, n, nodes):
     # the zeta tail after 16N direct digits gives the root of a direct sum
     # to 1024N within 5e-15 at any node count, as its coefficients come from
     # basis values on [0, 1/(16N + 1)], which stay bounded; after 4N it is
     # off by 4e-13 at N = 2
-    ref = collocation_root(n, nodes, 1024)
+    ref = collocation_root(monkeypatch, n, nodes, 1024)
     assert transfer_dimension(DigitAlphabet(n, None), nodes=nodes).dim == pytest.approx(
         ref, abs=5e-15)
     if n == 2:
-        assert abs(collocation_root(n, nodes, 4) - ref) > 5e-15
+        assert abs(collocation_root(monkeypatch, n, nodes, 4) - ref) > 5e-15
 
 
 def basis_oracle(nodes, bw, u):
@@ -449,6 +518,44 @@ def test_ulam_agreement_shifted_range():
     c = transfer_dimension(DigitAlphabet(10, 20), nodes=20)
     u = ulam_dimension(DigitAlphabet(10, 20), bins=4096)
     assert abs(c.dim - u.dim) < 1e-4
+
+
+def seeded_finite_ranges(seed, count):
+    """{1, 2}, {20, 21} and {3..4000}, then ``count`` ranges {lo..lo + w},
+    lo uniform in 1..20 and w in 1..60."""
+    rng = np.random.default_rng(seed)
+    out = [(1, 2), (20, 21), (3, 4000)]
+    for _ in range(count):
+        lo = int(rng.integers(1, 21))
+        out.append((lo, lo + int(rng.integers(1, 61))))
+    return [DigitAlphabet(lo, hi) for lo, hi in out]
+
+
+def test_finite_crude_bracket_holds_both_roots():
+    # on [0, 1/lo], sum (a + 1/lo)^{-2s} <= (L_s 1)(x) <= sum a^{-2s}, so the
+    # roots of the two direct sums (s = 2 above, for lo = 1) bracket the
+    # collocation root and the Ulam root; {20, 21} has its root near 0.115
+    for alphabet in seeded_finite_ranges(41, 20):
+        c = transfer_dimension(alphabet)
+        u = ulam_dimension(alphabet, bins=1024)
+        assert c.bracket_lo < c.dim < c.bracket_hi
+        assert c.bracket_lo < u.dim < c.bracket_hi
+        assert c.bracket_hi == 2.0 if alphabet.lower == 1 else c.bracket_hi < 1.0
+    assert transfer_dimension(DigitAlphabet(20, 21)).dim == pytest.approx(0.1147, abs=1e-4)
+
+
+def test_finite_solves_take_fewer_evaluations(monkeypatch):
+    # 15 finite ranges solved by collocation and (but {3..4000}) by Ulam at
+    # 1024 bins took 216 evaluations on the fixed bracket [-1, 2], and take
+    # 146 in their crude brackets
+    calls = []
+    monkeypatch.setattr(dimension_module, "power_iteration",
+                        lambda mat, **kw: calls.append(1) or power_iteration(mat, **kw))
+    for alphabet in seeded_finite_ranges(7, 12):
+        transfer_dimension(alphabet)
+        if alphabet.upper < 1000:
+            ulam_dimension(alphabet, bins=1024)
+    assert len(calls) <= 160
 
 
 def test_ulam_singleton():
