@@ -91,22 +91,11 @@ def hurwitz_zeta(x, q):
     if not (lo > 0.0 and hi < math.inf):
         raise ValueError(f"hurwitz_zeta needs every q finite and > 0, got min {lo}, max {hi}")
     total = 0.0
-    if np.ndim(q) == 0:
-        while q < _EM_START:
-            total += q ** -x
-            q += 1.0
-    elif lo < _EM_START:
-        # only the entries below 24 take the steps that lift the smallest to
-        # 24; one already there adds 0
-        total = np.zeros_like(q)
-        flat_q, flat_total = q.reshape(-1), total.reshape(-1)
-        idx = np.flatnonzero(flat_q < _EM_START)
-        qi, acc = flat_q[idx], 0.0
-        for _ in range(math.ceil(_EM_START - lo)):
-            small = qi < _EM_START
-            acc += small * qi ** -x
-            qi += small
-        flat_q[idx], flat_total[idx] = qi, acc
+    # enough steps to lift the smallest q to 24; a q already there adds 0
+    for _ in range(math.ceil(_EM_START - lo)):
+        small = q < _EM_START
+        total += small * q ** -x
+        q += small
     # x(x+1)...(x+2j-2) B_2j/(2j)!, innermost (j = 8) first for Horner's rule
     coeffs, rising = [], x
     for c, u, v in _EM_TERMS:
@@ -235,12 +224,17 @@ def _basis_at(nodes, bw, u):
     return vals
 
 
+def _block_digits(x, entries):
+    """Digits per block of _digit_blocks(x, lo, hi, entries)."""
+    return max(1, entries // len(x))
+
+
 def _digit_blocks(x, lo, hi, entries):
     """The (len(x), digits) blocks a + x for the digits a = lo..hi in order,
-    max(1, entries // len(x)) digits each (the last may hold fewer).  A caller
+    _block_digits(x, entries) digits each (the last may hold fewer).  A caller
     that folds each block in before taking the next holds O(entries) values
     at a time, however many digits the range has."""
-    step = max(1, entries // len(x))
+    step = _block_digits(x, entries)
     for start in range(lo, hi + 1, step):
         a = np.arange(start, min(start + step, hi + 1), dtype=float)
         yield x[:, None] + a[None, :]
@@ -268,9 +262,12 @@ class _CollocationOperator:
         self.bw = _bary_weights(nodes)
         self.direct_hi = (_DIRECT_RATIO * alphabet.lower if alphabet.infinite
                           else alphabet.upper)
+        # a + x values per chunk of direct digits; their basis values take
+        # nodes times as many, at most _ASSEMBLY_BLOCK
+        self.chunk = _ASSEMBLY_BLOCK // nodes
         digits = self.direct_hi - alphabet.lower + 1
         self.kept = (list(self._direct_blocks())
-                     if digits <= max(1, _ASSEMBLY_BLOCK // nodes // nodes) else None)
+                     if digits <= _block_digits(self.x, self.chunk) else None)
         if alphabet.infinite:
             # the interpolant on the tail interval [0, eps] as a polynomial
             # sum_m c_m (u/eps)^m through its values at _TAIL_ORDER Lobatto
@@ -286,8 +283,7 @@ class _CollocationOperator:
         """(a + x, basis values at 1/(a + x)) per chunk of direct digits, of
         shapes (k, c) and (k, c, k); each chunk is built when it is taken."""
         k = len(self.x)
-        for denom in _digit_blocks(self.x, self.alphabet.lower, self.direct_hi,
-                                   _ASSEMBLY_BLOCK // k):
+        for denom in _digit_blocks(self.x, self.alphabet.lower, self.direct_hi, self.chunk):
             yield denom, _basis_at(self.x, self.bw, (1.0 / denom).ravel()).reshape(
                 *denom.shape, k)
 

@@ -1,4 +1,3 @@
-import math
 import tracemalloc
 
 import numpy as np
@@ -89,36 +88,6 @@ def test_hurwitz_zeta_numpy_scalar_q():
 def test_hurwitz_zeta_rejects_bad_arguments(x, q):
     with pytest.raises(ValueError):
         dimension_module.hurwitz_zeta(x, q)
-
-
-def hurwitz_full_array_oracle(x, q):
-    """The kernel with its direct sum taken over the whole array on each of
-    ceil(24 - min q) steps, adding 0 for every q already at 24: the lifted q
-    go to the kernel, which then sums no terms directly."""
-    q = float(q) if np.ndim(q) == 0 else np.array(q, dtype=float)
-    total = 0.0
-    for _ in range(math.ceil(24.0 - np.min(q))):
-        small = q < 24.0
-        total += small * q ** -x
-        q += small
-    return dimension_module.hurwitz_zeta(x, q) + total
-
-
-def test_hurwitz_direct_sum_matches_full_array_loop():
-    # the direct sum steps only the entries still below 24: the same partial
-    # sums, so the same bits, for arrays that mix small and large q and for
-    # scalars
-    rng = np.random.default_rng(12)
-    q = np.concatenate([rng.uniform(1.0, 1e6, 600), rng.uniform(1.0, 24.0, 80),
-                        np.arange(1.0, 25.0), [0.5, 23.999, 1e-3]])
-    rng.shuffle(q)
-    for x in (1 + 1e-6, 1.3, 2.0, 6.5):
-        for qq in (q, q.reshape(7, -1)):
-            assert np.array_equal(dimension_module.hurwitz_zeta(x, qq),
-                                  hurwitz_full_array_oracle(x, qq))
-        for v in q[:40]:
-            assert dimension_module.hurwitz_zeta(x, float(v)) == hurwitz_full_array_oracle(
-                x, float(v))
 
 
 def test_crude_matches_hurwitz_oracle():
@@ -250,10 +219,9 @@ def test_collocation_chunks_match_single_chunk(monkeypatch):
     # 3998 of {3..4000} seven; one chunk of all of them gives the same matrix
     # to rounding
     for alphabet in (DigitAlphabet(64, None), DigitAlphabet(3, 4000)):
-        op = _CollocationOperator(alphabet, 40)
-        chunked = op.matrix(0.8)
+        chunked = _CollocationOperator(alphabet, 40).matrix(0.8)
         monkeypatch.setattr(dimension_module, "_ASSEMBLY_BLOCK", 1 << 40)
-        single = op.matrix(0.8)
+        single = _CollocationOperator(alphabet, 40).matrix(0.8)
         monkeypatch.undo()
         assert np.allclose(chunked, single, rtol=1e-13, atol=0.0)
 
