@@ -11,17 +11,19 @@ Three routes are implemented and cross-checked against each other:
 * ``transfer_dimension`` solves lambda(s) = 1 for the leading eigenvalue of
   the Gauss-map transfer operator (L_s f)(x) = sum_a (a+x)^{-2s} f(1/(a+x)),
   discretized by polynomial collocation on Chebyshev-Lobatto nodes.  Infinite
-  digit ranges keep an exact polynomial tail: the digits N..16N of {a >= N}
-  are summed directly, and beyond them the interpolant, rewritten as a
-  degree-4 polynomial in u/eps on the tail interval [0, eps = 1/(16N + 1)]
-  through its values at 5 Lobatto points there, sums against Hurwitz zeta
-  values, so no mass is dropped.  The basis values on [0, eps] are bounded,
-  so the tail's rounding does not grow with the node count; its one error is
-  the degree-4 interpolation on [0, eps], which falls like (MN)^-5 M^(1-2s)
-  at cutoff M, so a cutoff proportional to N serves every N.  Against a
+  digit ranges keep an exact polynomial tail: the digits N..M of {a >= N},
+  M = 16 max(N, 2), are summed directly, and beyond them the interpolant,
+  rewritten as a degree-4 polynomial in u/eps on the tail interval
+  [0, eps = 1/(M + 1)] through its values at 5 Lobatto points there, sums
+  against Hurwitz zeta values, so no mass is dropped.  The basis values on
+  [0, eps] are bounded, so the tail's rounding does not grow with the node
+  count; its one error is the degree-4 interpolation on [0, eps], which falls
+  like (MN)^-5 M^(1-2s) at cutoff M, so a cutoff proportional to N serves
+  every N.  Against a
   direct sum to 1024N the root moves by at most 3.3e-16 (N in {2, 3, 5, 10,
   100} at 8-100 nodes, N = 500 at 12 and 20, N up to 10 at 300); a cutoff of
-  4N moves it by up to 4e-13.
+  4N moves it by up to 4e-13.  {a >= 1} takes M = 32, as M = 16 leaves its
+  first two eigenvalues at s = 1 off by 4e-13 and 5e-12 at any node count.
 * ``ulam_dimension`` repeats the computation with a piecewise-constant
   discretization on a uniform grid (bin-center collocation).  Digit ranges
   are aggregated per bin by exact Hurwitz zeta differences, which again keeps
@@ -30,9 +32,9 @@ Three routes are implemented and cross-checked against each other:
 Both discretizations find the root of lambda(s) = 1 with Brent's method
 (``numerics.bracketed_root``), as the sign change of the pressure
 log lambda(s), inside a rigorous crude bracket: the crude exponents for
-{a >= N}, N >= 2, and for a finite range {N..M} the roots of the direct sums
-sum (a + 1/N)^{-2s} = 1 and sum a^{-2s} = 1 (s = 2 for N = 1); only {a >= 1}
-takes the fixed [1/2, 2].  Each operator builds what does not depend on s
+{a >= N}, and for a finite range {N..M} the roots of the direct sums
+sum (a + 1/N)^{-2s} = 1 and sum a^{-2s} = 1; every set with N = 1 takes
+s = 2 as its upper end.  Each operator builds what does not depend on s
 once, when it is made, so each trial s costs the s-dependent part of one
 assembly and one power iteration; a solve takes 4-8 of them (about 5 on
 average).  The reported residual |lambda(root) - 1| comes from the
@@ -242,9 +244,9 @@ def _digit_blocks(x, lo, hi, entries):
 
 _TAIL_ORDER = 5  # polynomial terms of the interpolant used for the zeta tail
 _ASSEMBLY_BLOCK = 1 << 20  # basis values (nodes^2 per digit) per assembly chunk
-# Infinite ranges: digits up to _DIRECT_RATIO * N are summed one by one and
-# the rest by the zeta tail, whose interpolation error falls with both the
-# cutoff and N (see the module docstring), so one ratio serves every N.
+# Infinite ranges: digits up to _DIRECT_RATIO * max(N, 2) are summed one by
+# one and the rest by the zeta tail, whose interpolation error falls with both
+# the cutoff and N (see the module docstring), so one ratio serves every N.
 _DIRECT_RATIO = 16
 
 
@@ -260,7 +262,7 @@ class _CollocationOperator:
         h = alphabet.domain
         self.x = _lobatto_nodes(nodes, h)
         self.bw = _bary_weights(nodes)
-        self.direct_hi = (_DIRECT_RATIO * alphabet.lower if alphabet.infinite
+        self.direct_hi = (_DIRECT_RATIO * max(alphabet.lower, 2) if alphabet.infinite
                           else alphabet.upper)
         # a + x values per chunk of direct digits; their basis values take
         # nodes times as many, at most _ASSEMBLY_BLOCK
@@ -393,8 +395,8 @@ class _UlamOperator:
 class DimensionEstimate:
     dim: float
     residual: float           # |lambda(dim) - 1|
-    bracket_lo: float | None = None
-    bracket_hi: float | None = None
+    bracket_lo: float         # the rigorous crude bracket the root was searched in
+    bracket_hi: float
 
 
 def _direct_crude_exponent(lo, hi, shift, tol):
@@ -412,21 +414,20 @@ def _direct_crude_exponent(lo, hi, shift, tol):
 
 
 def _crude_bracket(alphabet, tol):
-    """Bounds (lower, upper) on the pressure root, or None for {a >= 1}.
+    """Bounds (lower, upper) on the pressure root.
 
     On [0, 1/N], N the least digit, sum (a + 1/N)^{-2s} <= (L_s 1)(x) <=
     sum a^{-2s} pointwise for s >= 0, so the root lies between the roots of
-    the two sums.  {a >= N}, N >= 2, takes the crude exponents (shift 1 in
-    place of 1/N).  A finite range takes the two sums directly, and s = 2,
-    where every sub-alphabet of the Gauss map has negative pressure, as its
-    upper bound when N = 1.  The bounds are solved to at least 1e-10 so that
-    the 1e-9 margin the root search adds keeps the bracket valid.
+    the two sums.  {a >= N} takes the crude exponents (shift 1 in place of
+    1/N), a finite range the two sums directly.  For N = 1 the upper sum has
+    no root, and s = 2, where every sub-alphabet of the Gauss map has negative
+    pressure, is the upper bound.  The bounds are solved to at least 1e-10 so
+    that the 1e-9 margin the root search adds keeps the bracket valid.
     """
     n, tol = alphabet.lower, min(tol, 1e-10)
     if alphabet.infinite:
-        if n < 2:
-            return None
-        return crude_critical_exponent(n, 1, tol), crude_critical_exponent(n, 0, tol)
+        upper = 2.0 if n == 1 else crude_critical_exponent(n, 0, tol)
+        return crude_critical_exponent(n, 1, tol), upper
     upper = 2.0 if n == 1 else _direct_crude_exponent(n, alphabet.upper, 0.0, tol)
     return _direct_crude_exponent(n, alphabet.upper, 1.0 / n, tol), upper
 
@@ -449,10 +450,7 @@ def _pressure_root(op, crude, tol):
         # and nearly linear in s, so interpolation steps converge fast
         return math.log(lams[s])
 
-    if crude is not None:
-        lo, hi = crude[0] - 1e-9, crude[1] + 1e-9
-    else:
-        lo, hi = 0.5 + 1e-9, 2.0
+    lo, hi = crude[0] - 1e-9, crude[1] + 1e-9
     # both ends are rigorous: f(lo) <= 0 or f(hi) > 0 signals a defect
     f_lo, f_hi = f(lo), f(hi)
     if f_lo <= 0 or f_hi > 0:
@@ -463,22 +461,21 @@ def _pressure_root(op, crude, tol):
     return root, abs(lams[root] - 1.0)
 
 
+def _estimate(op, tol):
+    """The operator's pressure root, with the crude bracket it lies in."""
+    crude = _crude_bracket(op.alphabet, tol)
+    return DimensionEstimate(*_pressure_root(op, crude, tol), *crude)
+
+
 def transfer_dimension(alphabet: DigitAlphabet, nodes=20, tol=1e-10) -> DimensionEstimate:
     """Dimension of the digit-restricted set via collocation of the transfer
-    operator, with the crude bounds that bracket it (none for {a >= 1})."""
-    op = _CollocationOperator(alphabet, nodes)
-    crude = _crude_bracket(alphabet, tol)
-    root, residual = _pressure_root(op, crude, tol)
-    lo, hi = crude or (None, None)
-    return DimensionEstimate(root, residual, lo, hi)
+    operator, with the crude bounds that bracket it."""
+    return _estimate(_CollocationOperator(alphabet, nodes), tol)
 
 
 def ulam_dimension(alphabet: DigitAlphabet, bins=4096, tol=1e-8) -> DimensionEstimate:
     """Independent piecewise-constant estimate of the same pressure root."""
-    op = _UlamOperator(alphabet, bins)
-    crude = _crude_bracket(alphabet, tol)
-    root, residual = _pressure_root(op, crude, tol)
-    return DimensionEstimate(root, residual)
+    return _estimate(_UlamOperator(alphabet, bins), tol)
 
 
 def good_dimension_sweep(n_list, nodes=20, tol=1e-9, ulam_bins=None, threads=1):
@@ -490,7 +487,8 @@ def good_dimension_sweep(n_list, nodes=20, tol=1e-9, ulam_bins=None, threads=1):
     if not n_list:
         raise ValueError("empty N list")
     if min(n_list) < 2:
-        raise ValueError("dimension sweep needs every N >= 2 (bracket undefined at N = 1)")
+        raise ValueError("dimension sweep needs every N >= 2 (its bracket_hi column, "
+                         "the shift-0 crude exponent, has no root at N = 1)")
 
     def row(n):
         alphabet = DigitAlphabet(n, None)

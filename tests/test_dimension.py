@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -454,6 +455,68 @@ def test_full_alphabet_dimension_one():
     assert est.dim == pytest.approx(1.0, abs=1e-8)
 
 
+def test_full_alphabet_bracket_and_evaluations(monkeypatch):
+    # {a >= 1} is searched in the crude bracket [s_crude(1, shift 1), 2] by
+    # both discretizations; on the fixed [1/2, 2] they took 10 and 9
+    # evaluations
+    calls = []
+    monkeypatch.setattr(dimension_module, "power_iteration",
+                        lambda mat, **kw: calls.append(1) or power_iteration(mat, **kw))
+    crude = (crude_critical_exponent(1, 1), 2.0)
+    assert crude[0] == crude_critical_exponent(2, 0) == pytest.approx(0.86432, abs=1e-5)
+    for solve, err in ((transfer_dimension, 1e-10),
+                       (lambda a: ulam_dimension(a, bins=1024), 1e-6)):
+        calls.clear()
+        est = solve(DigitAlphabet(1, None))
+        assert (est.bracket_lo, est.bracket_hi) == crude
+        assert est.bracket_lo < est.dim < est.bracket_hi
+        assert abs(est.dim - 1.0) < err
+        assert len(calls) <= 8
+
+
+@pytest.mark.parametrize("alphabet", [DigitAlphabet(2, None), DigitAlphabet(5, None),
+                                      DigitAlphabet(100, None), DigitAlphabet(1, 2),
+                                      DigitAlphabet(5, 40)])
+def test_ulam_keeps_the_collocation_bracket(alphabet):
+    c = transfer_dimension(alphabet)
+    u = ulam_dimension(alphabet, bins=1024)
+    assert (u.bracket_lo, u.bracket_hi) == (c.bracket_lo, c.bracket_hi)
+    assert u.bracket_lo < u.dim < u.bracket_hi
+
+
+# the second eigenvalue of the Gauss operator at s = 1 (Wirsing, Acta Arith. 1974)
+_WIRSING = -0.303663002898732658597
+
+
+def gauss_spectrum(nodes, s=1.0):
+    """Eigenvalues of the {a >= 1} collocation matrix at s, largest modulus
+    first, with their eigenvectors as columns, and the nodes."""
+    op = _CollocationOperator(DigitAlphabet(1, None), nodes)
+    lam, vec = np.linalg.eig(op.matrix(s))
+    order = np.argsort(-np.abs(lam))
+    return lam[order], vec[:, order], op.x
+
+
+@pytest.mark.parametrize("nodes", [20, 30, 40])
+def test_gauss_operator_eigenvalues_and_density(nodes):
+    # at s = 1 the Gauss operator fixes the Gauss density 1/(1 + x); a 16-digit
+    # direct sum left lambda_1 4.3e-13 and lambda_2 4.9e-12 off at every node count
+    lam, vec, x = gauss_spectrum(nodes)
+    assert abs(lam[0] - 1.0) < 1e-13
+    assert abs(lam[1] - _WIRSING) < 1e-13
+    ratio = vec[:, 0].real * (1.0 + x)
+    assert np.max(np.abs(ratio / ratio[0] - 1.0)) < 1e-13
+
+
+def test_gauss_pressure_derivative_is_twice_levy():
+    # -P'(1) = pi^2 / (6 log 2), the t_n / n of a typical ray; central
+    # difference of log lambda at h = 1e-5
+    h = 1e-5
+    lam_hi, lam_lo = (gauss_spectrum(20, 1.0 + d)[0][0].real for d in (h, -h))
+    slope = (math.log(lam_lo) - math.log(lam_hi)) / (2.0 * h)
+    assert slope == pytest.approx(math.pi ** 2 / (6.0 * math.log(2.0)), abs=1e-8)
+
+
 def test_wide_finite_alphabet():
     est = transfer_dimension(DigitAlphabet(1, 50), nodes=24)
     assert est.dim > 0.98
@@ -562,7 +625,7 @@ def test_pressure_root_without_sign_change_raises_at_once():
             return 2.0 * np.eye(4)
 
     with pytest.raises(NumericError, match="not bracketed"):
-        _pressure_root(Doubling(), None, 1e-8)
+        _pressure_root(Doubling(), (0.2, 0.8), 1e-8)
     assert len(calls) == 2
 
 
