@@ -24,10 +24,11 @@ Three routes are implemented and cross-checked against each other:
   100} at 8-100 nodes, N = 500 at 12 and 20, N up to 10 at 300); a cutoff of
   4N moves it by up to 4e-13.  {a >= 1} takes M = 32, as M = 16 leaves its
   first two eigenvalues at s = 1 off by 4e-13 and 5e-12 at any node count.
-* ``ulam_dimension`` repeats the computation with a piecewise-constant
-  discretization on a uniform grid (bin-center collocation).  Digit ranges
-  are aggregated per bin by exact Hurwitz zeta differences, which again keeps
-  the full infinite tail.  Used purely as an independent oracle.
+* ``ulam_dimension`` repeats the computation on a uniform grid of bins
+  (bin-center collocation), purely as an independent oracle.  Digits a with
+  a(a + 1) <= lower * bins take one gather entry per row; the rest land in a
+  dense head block of ~sqrt(lower * bins) columns, summed for an infinite
+  range by exact Hurwitz zeta differences, which keeps the full tail.
 
 Both discretizations find the root of lambda(s) = 1 with Brent's method
 (``numerics.bracketed_root``), as the sign change of the pressure
@@ -306,31 +307,33 @@ class _CollocationOperator:
 # piecewise-constant (Ulam-type) discretization
 # ---------------------------------------------------------------------------
 
-# (digit, bin) pairs per block of the Ulam scatter.  glibc trims the heap top
-# once its free space passes twice the largest block it has mmapped and freed
-# (16 MB after one dense 1024-bin matrix).  The 512 KB block temporaries keep
-# an assembly below that; 2 MB ones (2^18 pairs) cross it, and then every
-# assembly hands its pages back and faults them in again.
+# (digit, bin) pairs of a finite head scatter, or zeta values of an infinite
+# head, per block (512 KB a temporary).  On the benchmark's Ulam solves 2^14,
+# 2^16 and 2^18 ran equally fast, with 9.4k, 23k and 47k minor page faults.
 _SCATTER_BLOCK = 1 << 16
-# A finite range of at most bins / _GATHER_RATIO digits is multiplied by a
-# per-row gather; its (bins, digits) columns and weights then take at most a
-# quarter of the dense matrix's bytes.
-_GATHER_RATIO = 8
 
 
-class _GatherMatrix:
-    """A bins x bins operator held as each row's target columns and weights,
-    one per direct digit: row i of m @ v is sum_j wgt[i, j] v[col[i, j]]."""
+class _UlamMatrix:
+    """A bins x bins Ulam matrix: per gather digit a weight in every row and
+    the runs (column, length) of its target columns, plus a dense head block."""
 
-    def __init__(self, col, wgt):
-        self.col, self.wgt = col, wgt
-        self.shape = (len(col), len(col))
+    def __init__(self, runs, wgt, head):
+        self.runs, self.wgt, self.head = runs, wgt, head
+        self.shape = (len(head), len(head))
 
     def __matmul__(self, v):
-        return np.einsum("ij,ij->i", self.wgt, v[self.col])
+        gathered = np.repeat(v[self.runs[0]], self.runs[1]).reshape(self.wgt.shape)
+        out = np.einsum("ji,ji->i", self.wgt, gathered)
+        if self.head.shape[1]:  # a narrow finite range has none; skip the empty product
+            out += self.head @ v[:self.head.shape[1]]
+        return out
 
 
 class _UlamOperator:
+    """The Ulam matrix at any s: the digits with a(a + 1) <= lower * bins are
+    gathered, the rest fill the head.  The gather digits' target columns and
+    a + x do not depend on s, so they are built once, here."""
+
     def __init__(self, alphabet: DigitAlphabet, bins: int):
         if bins < 64:
             raise ValueError("need at least 64 bins")
@@ -338,53 +341,50 @@ class _UlamOperator:
         self.bins = bins
         self.w = alphabet.domain / bins
         self.x = (np.arange(bins) + 0.5) * self.w
-        # Infinite ranges: digits below the split are scattered bin-by-bin,
-        # the tail beyond it is aggregated per target bin with Hurwitz zeta
-        # differences (valid there since the root search keeps 2s > 1).
-        # Finite ranges are summed directly, so any s is allowed.
-        if alphabet.infinite:
-            self.direct_hi = alphabet.lower + max(
-                64, int(2.5 * math.sqrt(alphabet.lower * bins)))
-        else:
-            self.direct_hi = alphabet.upper
-        # a gathered range keeps its target columns and a + x, which do not
-        # depend on s; at most bins^2 / 8 pairs, so one block of bins^2 holds them
-        self.gather = None
-        if not alphabet.infinite and (
-                self.direct_hi - alphabet.lower + 1) * _GATHER_RATIO <= bins:
-            ax, = _digit_blocks(self.x, alphabet.lower, self.direct_hi, bins * bins)
-            self.gather = self._columns(ax), ax
+        top = min(self._gather_top(), alphabet.upper or math.inf)
+        # a + x per gather digit (a row each); a digit's column moves every ~a^2 rows
+        self.ax = np.arange(alphabet.lower, top + 1, dtype=float)[:, None] + self.x
+        col = self._columns(self.ax).ravel()
+        starts = np.flatnonzero(np.diff(col, prepend=-1))
+        self.runs = col[starts], np.diff(starts, append=col.size)
+        # a head digit a lands in a column of at most int(1/(a w)) <= int(1/(head_lo w));
+        # one column more keeps the last zeta boundary clear of rounding
+        self.head_lo = max(top + 1, alphabet.lower)
+        self.head_cols = 0 if top == alphabet.upper else min(
+            int(1.0 / (self.head_lo * self.w)) + 2, bins)
+
+    def _gather_top(self):
+        """The last gather digit: the largest a with a(a + 1) <= lower * bins."""
+        return (math.isqrt(4 * self.alphabet.lower * self.bins + 1) - 1) // 2
 
     def _columns(self, ax):
         """Target bins min(int(1/((a + x) w)), bins - 1) of a block of a + x."""
         return np.minimum((1.0 / (ax * self.w)).astype(np.intp), self.bins - 1)
 
     def matrix(self, s):
-        if self.gather is not None:
-            col, ax = self.gather
-            return _GatherMatrix(col, ax ** (-2.0 * s))
-        b, w, x = self.bins, self.w, self.x
-        lo, hi, infinite = self.alphabet.lower, self.direct_hi, self.alphabet.infinite
-        mat = np.zeros((b, b))
-        row_start = b * np.arange(b)[:, None]
-        for ax in _digit_blocks(x, lo, hi, _SCATTER_BLOCK):
-            # unbuffered, in digit order per cell, as a loop over digits would add
-            np.add.at(mat.ravel(), (self._columns(ax) + row_start).ravel(),
-                      (ax ** (-2.0 * s)).ravel())
-        if not infinite:
-            return mat
-        # Z_k = sum over tail digits a of (a + x)^{-2s} with 1/(a + x) < k w,
-        # one zeta value per bin boundary k; bin 0 takes Z_1 and bin k the
-        # digits between boundaries k and k + 1, Z_{k+1} - Z_k (exactly 0
-        # where no digit lands, as both boundaries then clamp alike)
-        zeta_lo = self.direct_hi + 1
-        k_top = min(int(1.0 / (zeta_lo * w)) + 1, b - 1)
-        kv = np.arange(1, k_top + 2, dtype=float)[:, None]
-        a_lo = np.maximum(np.floor(1.0 / (kv * w) - x[None, :]) + 1.0, zeta_lo)
-        z = hurwitz_zeta(2.0 * s, a_lo + x[None, :])
-        mat[:, 0] += z[0]
-        mat[:, 1:k_top + 1] += (z[1:] - z[:-1]).T
-        return mat
+        return _UlamMatrix(self.runs, self.ax ** (-2.0 * s), self._head(s))
+
+    def _head(self, s):
+        b, x, lo = self.bins, self.x, self.head_lo
+        head = np.zeros((b, self.head_cols))
+        if not self.alphabet.infinite:
+            row_start = self.head_cols * np.arange(b)[:, None]
+            for ax in _digit_blocks(x, lo, self.alphabet.upper, _SCATTER_BLOCK):
+                # unbuffered, in digit order per cell, as a loop over digits would add
+                np.add.at(head.ravel(), (self._columns(ax) + row_start).ravel(),
+                          (ax ** (-2.0 * s)).ravel())
+            return head
+        # Z_k, the sum of (a + x)^{-2s} over the head digits a > 1/(k w) - x (a
+        # zeta series; the root search keeps 2s > 1), takes one value per bin
+        # boundary k; column k is Z_{k+1} - Z_k with Z_0 = 0, exactly 0 where no
+        # digit lands, as both boundaries then clamp alike
+        inv_kw = 1.0 / (np.arange(1, self.head_cols + 1, dtype=float) * self.w)
+        rows = max(1, _SCATTER_BLOCK // self.head_cols)
+        for r in range(0, b, rows):
+            xr = x[r:r + rows, None]
+            z = hurwitz_zeta(2.0 * s, np.maximum(np.floor(inv_kw - xr) + 1.0, lo) + xr)
+            head[r:r + rows] = np.diff(z, axis=1, prepend=0.0)
+        return head
 
 
 # ---------------------------------------------------------------------------

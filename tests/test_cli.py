@@ -455,7 +455,7 @@ def test_csv_byte_determinism_across_runs_and_threads(tmp_path):
 _IMPORT_PROBE = ("import sys, cusplab, cusplab.cli; "
                  "code = cusplab.cli.main(sys.argv[1:]) if sys.argv[1:] else 0; "
                  "print(code, 'numpy' in sys.modules, 'scipy' in sys.modules)")
-# a narrow finite range (the per-row gather) and a wide one (the dense scatter)
+# a narrow finite range (gather digits only) and a wide one (gather plus head)
 _LIBRARY_PROBE = ("import sys; from cusplab.dimension import DigitAlphabet, ulam_dimension; "
                   "ulam_dimension(DigitAlphabet(1, 2), bins=1024); "
                   "ulam_dimension(DigitAlphabet(1, 200), bins=256); "

@@ -184,16 +184,20 @@ def test_collocation_assembly_memory_bounded():
     (lambda: _CollocationOperator(DigitAlphabet(1, 2), 20), "kept"),
     (lambda: _CollocationOperator(DigitAlphabet(5, None), 20), "kept"),
     (lambda: _CollocationOperator(DigitAlphabet(3, 4000), 40), "streamed"),
-    (lambda: _UlamOperator(DigitAlphabet(5, 12), 256), "gather")])
+    (lambda: _UlamOperator(DigitAlphabet(5, 12), 256), "gather"),
+    (lambda: _UlamOperator(DigitAlphabet(1, 61), 256), "head"),
+    (lambda: _UlamOperator(DigitAlphabet(2, None), 256), "head")])
 def test_operator_geometry_is_not_changed_by_an_evaluation(make, kind):
     # the geometry an operator builds once serves every s: one operator
     # evaluated at 0.6, 0.9, 0.6 gives the bytes of a fresh operator at each s
     op = make()
     assert (kind == "kept") == (getattr(op, "kept", None) is not None)
-    assert (kind == "gather") == (getattr(op, "gather", None) is not None)
+    assert (kind == "gather") == (getattr(op, "head_cols", None) == 0)
 
     def as_bytes(m):
-        return m.tobytes() if isinstance(m, np.ndarray) else m.col.tobytes() + m.wgt.tobytes()
+        if isinstance(m, np.ndarray):
+            return m.tobytes()
+        return b"".join(a.tobytes() for a in (*m.runs, m.wgt, m.head))
 
     for s in (0.6, 0.9, 0.6):
         assert as_bytes(op.matrix(s)) == as_bytes(make().matrix(s))
@@ -280,87 +284,119 @@ def test_ulam_rowsum_identity():
             assert np.max(np.abs(rowsum - exact)) < 1e-12
 
 
-def ulam_direct_oracle(op, s):
-    """The direct-digit part of the Ulam matrix, one digit at a time."""
+def ulam_direct_oracle(op, s, lo, hi):
+    """The Ulam matrix of the digits lo..hi, one digit at a time."""
     b, w, x = op.bins, op.w, op.x
     rows = np.arange(b)
     mat = np.zeros((b, b))
-    for a in range(op.alphabet.lower, op.direct_hi + 1):
+    for a in range(lo, hi + 1):
         kidx = np.minimum((1.0 / ((a + x) * w)).astype(np.int64), b - 1)
         mat[rows, kidx] += (a + x) ** (-2.0 * s)  # one entry per row: no clashes
     return mat
+
+
+def ulam_dense(m):
+    """The bins x bins matrix of matrix(s): the gather entries added per cell
+    in digit order, then the head block."""
+    dense = np.zeros(m.shape)
+    rows = np.broadcast_to(np.arange(m.shape[0]), m.wgt.shape)
+    cols = np.repeat(*m.runs).reshape(m.wgt.shape)  # (digits, bins) targets
+    np.add.at(dense, (rows, cols), m.wgt)  # digit by digit
+    dense[:, :m.head.shape[1]] += m.head
+    return dense
+
+
+def ulam_split_oracle(op, s):
+    """The Ulam matrix at the operator's split: the gather digits one at a
+    time, plus, summed on their own, the head digits one at a time (finite
+    ranges) or two zeta values per cell from op.head_lo on (infinite)."""
+    a = op.alphabet
+    gathered = ulam_direct_oracle(op, s, a.lower, op.head_lo - 1)
+    if a.infinite:
+        return gathered + ulam_zeta_oracle(op, s, op.head_lo)
+    return gathered + ulam_direct_oracle(op, s, op.head_lo, a.upper)
 
 
 @pytest.mark.parametrize("alphabet, bins", [
     (DigitAlphabet(2, None), 128), (DigitAlphabet(13, None), 256),
     (DigitAlphabet(1, 61), 256), (DigitAlphabet(3, 40), 128)])
 def test_ulam_direct_digits_match_loop(monkeypatch, alphabet, bins):
-    # with the zeta tail switched off, matrix(s) is the direct-digit scatter;
-    # the finite ranges here are wider than bins / 8, so they are scattered too
+    # with the zeta tail switched off, matrix(s) holds the direct digits: the
+    # gather digits and, for the finite ranges here, which pass the split,
+    # a head scattered digit by digit
     monkeypatch.setattr(dimension_module, "hurwitz_zeta", lambda s2, q: 0.0 * q)
     op = _UlamOperator(alphabet, bins)
+    assert len(op.ax) > 0 and op.head_cols > 0
     for s in (-0.5, 0.6, 0.95):
         if alphabet.infinite and s < 0.5:
             continue
         # the same terms, summed per cell in the same digit order
-        assert np.array_equal(op.matrix(s), ulam_direct_oracle(op, s))
+        assert np.array_equal(ulam_dense(op.matrix(s)), ulam_split_oracle(op, s))
 
 
 def test_ulam_direct_digits_match_loop_across_blocks(monkeypatch):
-    # blocks of one digit: every cell is summed over several blocks
-    monkeypatch.setattr(dimension_module, "hurwitz_zeta", lambda s2, q: 0.0 * q)
+    # blocks of one digit, or of one row of zeta values: every head cell of
+    # the finite range is summed over several blocks, and the infinite head
+    # is filled one row at a time
     monkeypatch.setattr(dimension_module, "_SCATTER_BLOCK", 1)
     for alphabet in (DigitAlphabet(5, None), DigitAlphabet(2, 30)):
         op = _UlamOperator(alphabet, 128)
-        assert np.array_equal(op.matrix(0.8), ulam_direct_oracle(op, 0.8))
+        assert op.head_cols > 0
+        assert np.array_equal(ulam_dense(op.matrix(0.8)), ulam_split_oracle(op, 0.8))
 
 
 @pytest.mark.parametrize("alphabet, bins", [
-    (DigitAlphabet(1, 2), 256), (DigitAlphabet(5, 12), 256), (DigitAlphabet(3, 34), 256),
-    (DigitAlphabet(1, 128), 1024)])
+    (DigitAlphabet(1, 2), 256), (DigitAlphabet(5, 12), 256), (DigitAlphabet(3, 27), 256),
+    (DigitAlphabet(1, 31), 1024)])
 def test_ulam_narrow_finite_range_is_a_gather(alphabet, bins):
-    # at most bins / 8 digits: one (column, weight) pair per digit and row,
-    # with the products of the digit-by-digit matrix
+    # up to the last digit a with a(a + 1) <= lower * bins: one (column,
+    # weight) pair per digit and row and no head, with the products of the
+    # digit-by-digit matrix
     op = _UlamOperator(alphabet, bins)
     digits = alphabet.upper - alphabet.lower + 1
     rng = np.random.default_rng(digits)
     for s in (-0.5, 0.6, 0.95):
         m = op.matrix(s)
-        assert m.shape == (bins, bins) and m.wgt.shape == (bins, digits)
-        ref = ulam_direct_oracle(op, s)
+        assert m.shape == (bins, bins) and m.wgt.shape == (digits, bins)
+        assert m.head.shape == (bins, 0)
+        ref = ulam_direct_oracle(op, s, alphabet.lower, alphabet.upper)
         for v in rng.uniform(0.0, 1.0, (3, bins)):
-            assert np.allclose(m @ v, ref @ v, rtol=1e-13, atol=0.0)
-    # one digit more than bins / 8 is scattered into a dense matrix
-    wider = _UlamOperator(DigitAlphabet(1, bins // 8 + 1), bins).matrix(0.6)
-    assert isinstance(wider, np.ndarray)
+            assert np.allclose(m @ v, ref @ v, rtol=1e-14, atol=0.0)
+    # {3..27} and {1..31} end at the split, so one digit more goes into a
+    # head; {1..3} and {5..13} are still all gather
+    at_split = (alphabet.upper + 1) * (alphabet.upper + 2) > alphabet.lower * bins
+    assert at_split == (alphabet.upper in (27, 31))
+    wider = _UlamOperator(DigitAlphabet(alphabet.lower, alphabet.upper + 1), bins).matrix(0.6)
+    assert wider.wgt.shape == (digits + (not at_split), bins)
+    assert (wider.head.shape[1] > 0) == at_split
 
 
-def test_ulam_gather_and_scatter_roots_agree_at_the_width_rule(monkeypatch):
-    # the widths on both sides of the rule, each solved through the gather
-    # (every finite range gathered) and through the dense scatter (none)
+def test_ulam_gather_and_head_roots_agree_at_the_split(monkeypatch):
+    # at 256 bins {1..15} is all gather and {1..16} one head digit past the
+    # split; each range is solved at its split, with every digit in the head,
+    # and (finite ranges) with every digit gathered
     bins = 256
-    for width in (bins // 8, bins // 8 + 1):
-        roots = []
-        for ratio in (1, bins + 1):
-            monkeypatch.setattr(dimension_module, "_GATHER_RATIO", ratio)
-            roots.append(ulam_dimension(DigitAlphabet(1, width), bins=bins, tol=1e-13).dim)
-        assert abs(roots[0] - roots[1]) <= 1e-12
+    for alphabet in (DigitAlphabet(1, 15), DigitAlphabet(1, 16), DigitAlphabet(2, None)):
+        roots = [ulam_dimension(alphabet, bins=bins, tol=1e-13).dim]
+        for top in [0] if alphabet.infinite else [0, alphabet.upper]:
+            monkeypatch.setattr(_UlamOperator, "_gather_top", lambda self: top)
+            roots.append(ulam_dimension(alphabet, bins=bins, tol=1e-13).dim)
+        monkeypatch.undo()
+        assert max(roots) - min(roots) <= 1e-12
 
 
-def ulam_two_sided_oracle(op, s):
-    """The full Ulam matrix of an infinite range with the zeta tail summed
-    per (row, bin) from both ends, zeta(a_lo + x) - zeta(a_hi + 1 + x) on the
-    nonempty cells, and bin 0 from a separate call.  Its zeta values come from
-    the library's own kernel, so that the comparison checks the boundary
-    differences bit for bit; test_hurwitz_zeta_matches_scipy checks the kernel."""
+def ulam_zeta_oracle(op, s, zeta_lo):
+    """The digits a >= zeta_lo summed per (row, bin) from both ends, zeta(a_lo
+    + x) - zeta(a_hi + 1 + x) on the nonempty cells, and bin 0 from a separate
+    call.  Its zeta values come from the library's own kernel, so that the
+    comparison checks the boundary differences bit for bit;
+    test_hurwitz_zeta_matches_scipy checks the kernel."""
     hurwitz_zeta = dimension_module.hurwitz_zeta
     b, w, x = op.bins, op.w, op.x
-    mat = ulam_direct_oracle(op, s)
-    zeta_lo = op.direct_hi + 1
+    mat = np.zeros((b, b))
     a_lo0 = np.maximum(np.floor(1.0 / w - x) + 1.0, zeta_lo)
     mat[:, 0] += hurwitz_zeta(2.0 * s, a_lo0 + x)
-    k_top = min(int(1.0 / (zeta_lo * w)) + 1, b - 1)
-    kv = np.arange(1, k_top + 1, dtype=float)[:, None]
+    kv = np.arange(1, b, dtype=float)[:, None]
     a_lo = np.floor(1.0 / ((kv + 1.0) * w) - x[None, :]) + 1.0
     a_lo = np.maximum(a_lo, zeta_lo)
     a_hi = np.floor(1.0 / (kv * w) - x[None, :])
@@ -369,7 +405,7 @@ def ulam_two_sided_oracle(op, s):
     vals = np.zeros_like(a_lo)
     vals[ok] = (hurwitz_zeta(2.0 * s, a_lo[ok] + xg[ok])
                 - hurwitz_zeta(2.0 * s, a_hi[ok] + 1.0 + xg[ok]))
-    mat[:, 1:k_top + 1] += vals.T
+    mat[:, 1:] += vals.T
     return mat
 
 
@@ -377,10 +413,11 @@ def ulam_two_sided_oracle(op, s):
 @pytest.mark.parametrize("bins", [128, 1024])
 def test_ulam_tail_matches_two_sided_oracle(lower, bins):
     # one zeta value per bin boundary and adjacent differences give the
-    # same bits as two zeta values per cell
+    # same bits as two zeta values per cell; every tail digit lands in the
+    # head's columns
     op = _UlamOperator(DigitAlphabet(lower, None), bins)
     for s in (0.55, 0.7, 0.95):
-        assert np.array_equal(op.matrix(s), ulam_two_sided_oracle(op, s))
+        assert np.array_equal(ulam_dense(op.matrix(s)), ulam_split_oracle(op, s))
 
 
 @pytest.mark.parametrize("lower, bins", [(2, 128), (200, 1024)])
@@ -393,9 +430,46 @@ def test_ulam_tail_one_zeta_value_per_boundary(monkeypatch, lower, bins):
 
     monkeypatch.setattr(dimension_module, "hurwitz_zeta", counting)
     op = _UlamOperator(DigitAlphabet(lower, None), bins)
-    op.matrix(0.7)
-    k_top = min(int(1.0 / ((op.direct_hi + 1) * op.w)) + 1, bins - 1)
-    assert sum(sizes) == (k_top + 1) * bins
+    head_cols = op.matrix(0.7).head.shape[1]
+    assert head_cols == min(int(1.0 / (op.head_lo * op.w)) + 2, bins)
+    assert sum(sizes) == head_cols * bins
+
+
+@pytest.mark.parametrize("alphabet", [DigitAlphabet(2, None), DigitAlphabet(1, 200)])
+def test_ulam_matrix_memory_bounded(alphabet):
+    # matrix(s) at the default 4096 bins peaks below an eighth of a dense
+    # bins x bins matrix (134 MB): gather weights plus a head of about
+    # sqrt(lower * bins) columns
+    op = _UlamOperator(alphabet, 4096)
+    tracemalloc.start()
+    try:
+        op.matrix(0.7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+
+
+@pytest.mark.parametrize("alphabet, bins", [
+    (DigitAlphabet(1, None), 256), (DigitAlphabet(1, 61), 1024),
+    (DigitAlphabet(5000, None), 1024)])
+def test_ulam_products_match_digit_by_digit_oracle(alphabet, bins):
+    # gather plus head ({a >= 1}, {1..61}) and head only ({a >= 5000}, past
+    # the split): products match a matrix summed one digit at a time, for an
+    # infinite range to 4 head_lo and by two zeta values per cell beyond
+    op = _UlamOperator(alphabet, bins)
+    assert op.head_cols > 0 and (len(op.ax) == 0) == (alphabet.lower >= bins)
+    rng = np.random.default_rng(bins)
+    for s in (0.55, 0.7, 0.95):
+        if alphabet.infinite:
+            cut = 4 * op.head_lo
+            ref = (ulam_direct_oracle(op, s, alphabet.lower, cut - 1)
+                   + ulam_zeta_oracle(op, s, cut))
+        else:
+            ref = ulam_direct_oracle(op, s, alphabet.lower, alphabet.upper)
+        m = op.matrix(s)
+        for v in rng.uniform(0.0, 1.0, (3, bins)):
+            assert np.allclose(m @ v, ref @ v, rtol=1e-14, atol=0.0)
 
 
 def test_ulam_memory_does_not_grow_with_n():
