@@ -114,7 +114,7 @@ def parse_weights_spec(spec: str):
         return CylinderMeasure.from_rule(int(lo), int(hi), rule)
     if kind == "single":
         (a,) = _spec_values(body, ("a",))
-        return CylinderMeasure(int(a), int(a), (1.0,))
+        return CylinderMeasure.from_rule(int(a), int(a), "uniform")
     raise ValueError(f"unknown weights kind {kind!r}")
 
 
@@ -146,7 +146,8 @@ def cmd_excursions(args, cfg):
     cf = parse_x_spec(args.x)
     trace = excursion_trace(cf, cfg.horizon)
     membership = good_membership(trace, args.tau, args.kappa)
-    flags = iter(membership.flags)
+    ratios = jarnik_ratios(trace)
+    entered = zip(membership.flags, ratios.theta_seq)
     table = ResultTable(
         ["n", "a_next", "d_n", "t_n", "gap_n", "d_over_t", "good_flag"],
         provenance=_provenance(cfg, "excursions",
@@ -154,14 +155,13 @@ def cmd_excursions(args, cfg):
                                 "horizon": cfg.horizon}))
     for rec in trace.records:
         if rec.entered:
-            flag = next(flags)
+            flag, d_over_t = next(entered)
             table.add(rec.index, rec.digit, rec.depth, rec.time,
                       rec.gap_to_next if rec.gap_to_next is not None else float("nan"),
-                      rec.depth / rec.time, flag)
+                      d_over_t, flag)
         else:
             table.add(rec.index, rec.digit, rec.depth, float("nan"),
                       float("nan"), float("nan"), False)
-    ratios = jarnik_ratios(trace)
     table.footer["tail_sup_depth_over_time"] = ratios.theta_hat
     table.footer["tail_sup_depth_over_sum"] = ratios.ratio_hat
     table.footer["good_verdict"] = membership.verdict

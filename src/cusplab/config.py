@@ -82,10 +82,10 @@ def load_config_file(path) -> dict:
     return values
 
 
-def threads_from_env(default=1) -> int:
+def threads_from_env() -> int:
     raw = os.environ.get("CUSPLAB_THREADS")
     if raw is None:
-        return default
+        return 1
     try:
         n = int(raw)
     except ValueError:

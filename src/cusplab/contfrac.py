@@ -46,13 +46,13 @@ class ContinuedFraction:
     """
 
     def __init__(self, prefix, period=(), reliable=None):
-        prefix = tuple(int(a) for a in prefix)
-        period = tuple(int(a) for a in period)
-        for a in prefix + period:
-            if a < 1:
-                raise ValueError(f"continued fraction digits must be >= 1, got {a}")
+        prefix = tuple(map(int, prefix))
+        period = tuple(map(int, period))
         if not prefix and not period:
             raise ValueError("empty digit sequence")
+        low = min(prefix + period)
+        if low < 1:
+            raise ValueError(f"continued fraction digits must be >= 1, got {low}")
         self.prefix = prefix
         self.period = period
         self.reliable = reliable

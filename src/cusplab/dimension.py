@@ -2,12 +2,12 @@
 
 Three routes are implemented and cross-checked against each other:
 
-* ``crude_critical_exponent`` solves zeta(2s, N + shift) = 1, i.e.
-  sum_{a >= N} (a + shift)^{-2s} = 1, the critical exponents of the
-  elementary cover sums.  With shift = 1 and 0 they bracket the true
-  dimension of the digit set {a >= N}: the transfer operator satisfies
-  sum (a+1)^{-2s} <= (L_s 1)(x) <= sum a^{-2s} pointwise, so its
-  unit-eigenvalue root is pinned between the two roots.
+* ``crude_critical_exponent`` solves sum_{a=N..M} (a + shift)^{-2s} = 1, the
+  critical exponent of an elementary cover sum: by zeta(2s, N + shift) = 1
+  for M = infinity, by the direct sum for a finite M.  On [0, 1/N] the
+  transfer operator satisfies sum (a + 1/N)^{-2s} <= (L_s 1)(x) <=
+  sum a^{-2s} pointwise, so its unit-eigenvalue root is pinned between the
+  roots for shift 1/N (1 for {a >= N}) and shift 0.
 * ``transfer_dimension`` solves lambda(s) = 1 for the leading eigenvalue of
   the Gauss-map transfer operator (L_s f)(x) = sum_a (a+x)^{-2s} f(1/(a+x)),
   discretized by polynomial collocation on Chebyshev-Lobatto nodes.  Infinite
@@ -32,14 +32,14 @@ Three routes are implemented and cross-checked against each other:
 
 Both discretizations find the root of lambda(s) = 1 with Brent's method
 (``numerics.bracketed_root``), as the sign change of the pressure
-log lambda(s), inside a rigorous crude bracket: the crude exponents for
-{a >= N}, and for a finite range {N..M} the roots of the direct sums
-sum (a + 1/N)^{-2s} = 1 and sum a^{-2s} = 1; every set with N = 1 takes
-s = 2 as its upper end.  Each operator builds what does not depend on s
-once, when it is made, so each trial s costs the s-dependent part of one
-assembly and one power iteration; a solve takes 4-8 of them (about 5 on
-average).  The reported residual |lambda(root) - 1| comes from the
-evaluation at the root.
+log lambda(s), inside a rigorous crude bracket of two crude exponents; every
+set with N = 1 takes s = 2 as its upper end.  The search runs 1e-9 past
+each end, and an estimate that lands in that margin is moved to the end it
+passed, so it never leaves the bracket it reports.  Each operator builds
+what does not depend on s once, when it is made, so each trial s costs the
+s-dependent part of one assembly and one power iteration; a solve takes 4-8
+of them (about 5 on average).  The reported residual |lambda(root) - 1|
+comes from the evaluation at the root.
 
 All three routes take their Hurwitz zeta values from ``hurwitz_zeta``, a
 direct sum plus an Euler-Maclaurin tail in numpy (scalar or array q).
@@ -175,24 +175,30 @@ class DigitAlphabet:
 # crude critical exponents
 # ---------------------------------------------------------------------------
 
-def crude_critical_exponent(n, shift, tol=1e-10):
-    """The unique s > 1/2 with sum_{a >= n} (a + shift)^{-2s} = 1.
-
-    shift in {0, 1}; n + shift must be at least 2 (for n = 1, shift = 0 the
-    sum is the full zeta series, which never equals 1).
-    """
-    if shift not in (0, 1):
-        raise ValueError("shift must be 0 or 1")
+def crude_critical_exponent(n, shift, tol=1e-10, upper=None):
+    """The s with sum_{a=n..upper} (a + shift)^{-2s} = 1; upper = None sums
+    zeta(2s, n + shift) and searches (1/2, 4], a finite upper sums directly
+    and searches [0, 2], as such a root can lie below 1/2.  shift lies in
+    [0, 1] and n + shift >= 2 (for n = 1, shift = 0 the full zeta series
+    always exceeds 1)."""
+    if not 0 <= shift <= 1:
+        raise ValueError(f"shift must lie in [0, 1], got {shift!r}")
     if n < 1:
         raise ValueError("n must be >= 1")
+    if upper is not None and upper < n:
+        raise ValueError(f"upper end {upper} is below n = {n}")
     m = n + shift
     if m < 2:
         raise ValueError("no root: the full-alphabet sum always exceeds 1")
+    shifted = np.array([shift])
 
     def f(s):
-        return hurwitz_zeta(2.0 * s, m) - 1.0
+        if upper is None:
+            return hurwitz_zeta(2.0 * s, m) - 1.0
+        return math.log(sum(float(np.sum(blk ** (-2.0 * s))) for blk in _digit_blocks(
+            shifted, n, upper, _ASSEMBLY_BLOCK)))
 
-    lo, hi = 0.5 + 1e-9, 4.0
+    lo, hi = (0.5 + 1e-9, 4.0) if upper is None else (0.0, 2.0)
     return bracketed_root(f, lo, hi, xtol=tol)
 
 
@@ -399,37 +405,20 @@ class DimensionEstimate:
     bracket_hi: float
 
 
-def _direct_crude_exponent(lo, hi, shift, tol):
-    """The s in [0, 2] with sum_{a=lo..hi} (a + shift)^{-2s} = 1, summed
-    directly: a finite range's root can lie below 1/2, where no zeta series
-    converges.  Every a + shift must be at least 2, so that the sum falls
-    below 1 at s = 2."""
-    shifted = np.array([shift])
-
-    def f(s):
-        return math.log(sum(float(np.sum(blk ** (-2.0 * s))) for blk in _digit_blocks(
-            shifted, lo, hi, _ASSEMBLY_BLOCK)))
-
-    return bracketed_root(f, 0.0, 2.0, xtol=tol)
-
-
 def _crude_bracket(alphabet, tol):
     """Bounds (lower, upper) on the pressure root.
 
     On [0, 1/N], N the least digit, sum (a + 1/N)^{-2s} <= (L_s 1)(x) <=
     sum a^{-2s} pointwise for s >= 0, so the root lies between the roots of
-    the two sums.  {a >= N} takes the crude exponents (shift 1 in place of
-    1/N), a finite range the two sums directly.  For N = 1 the upper sum has
-    no root, and s = 2, where every sub-alphabet of the Gauss map has negative
-    pressure, is the upper bound.  The bounds are solved to at least 1e-10 so
-    that the 1e-9 margin the root search adds keeps the bracket valid.
+    the two sums; {a >= N} takes shift 1 in place of 1/N.  For N = 1 the
+    upper sum has no root, and s = 2, where every sub-alphabet of the Gauss
+    map has negative pressure, is the upper bound.  The bounds are solved to
+    at least 1e-10 so that the 1e-9 margin the root search adds keeps the
+    bracket valid.
     """
-    n, tol = alphabet.lower, min(tol, 1e-10)
-    if alphabet.infinite:
-        upper = 2.0 if n == 1 else crude_critical_exponent(n, 0, tol)
-        return crude_critical_exponent(n, 1, tol), upper
-    upper = 2.0 if n == 1 else _direct_crude_exponent(n, alphabet.upper, 0.0, tol)
-    return _direct_crude_exponent(n, alphabet.upper, 1.0 / n, tol), upper
+    n, m, tol = alphabet.lower, alphabet.upper, min(tol, 1e-10)
+    upper = 2.0 if n == 1 else crude_critical_exponent(n, 0, tol, m)
+    return crude_critical_exponent(n, 1 if m is None else 1.0 / n, tol, m), upper
 
 
 def _pressure_root(op, crude, tol):
@@ -458,6 +447,9 @@ def _pressure_root(op, crude, tol):
             f"pressure root not bracketed on [{lo}, {hi}]: f(lo)={f_lo}, f(hi)={f_hi}"
         )
     root = bracketed_root(f, lo, hi, xtol=tol, flo=f_lo, fhi=f_hi)
+    root = min(max(root, crude[0]), crude[1])  # a point in a margin moves to its end
+    if root not in lams:
+        f(root)
     return root, abs(lams[root] - 1.0)
 
 

@@ -44,18 +44,16 @@ skipped and excluded from times and gaps.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .contfrac import ContinuedFraction, complete_quotients, convergent_pairs
+from .contfrac import _FLOAT_MAX, ContinuedFraction, complete_quotients, convergent_pairs
 from .halfplane import chord_length
 from .numerics import InsufficientDigitsError, tail_extreme
 
 _LOOKAHEAD = 44  # extra digits used to evaluate complete quotients
 _HUGE_QUOTIENT = 2.0 ** 500  # beyond it, a complete quotient enters via its log
 _LOG2 = math.log(2.0)
-_FLOAT_MAX = sys.float_info.max
 # Once p_n >= 2^64, every later convergent lies within a relative
 # 1/(p_n q_{n+1}) < 2^-128 of p_n/q_n, so its rounded ratio stops changing
 # (up to one ulp, if p_n/q_n sits that close to a rounding boundary).
@@ -264,10 +262,12 @@ class JarnikRatios:
     ``theta_hat``: of d_n / t_n, estimating theta.
     ``ratio_hat``: of d_n / (2 (d_1 + ... + d_{n-1})), estimating
     theta / (1 - theta).
+    ``theta_seq``: the ratios d_n / t_n, one per entered excursion.
     """
 
     theta_hat: float
     ratio_hat: float
+    theta_seq: list
 
 
 def jarnik_ratios(trace: ExcursionTrace) -> JarnikRatios:
@@ -277,5 +277,5 @@ def jarnik_ratios(trace: ExcursionTrace) -> JarnikRatios:
     d = [r.depth for r in recs]
     over_time = [r.depth / r.time for r in recs]
     over_sum = [dn / (2.0 * acc) for dn, acc in zip(d[1:], accumulate(d))]
-    return JarnikRatios(tail_extreme(max, over_time), tail_extreme(max, over_sum))
+    return JarnikRatios(tail_extreme(max, over_time), tail_extreme(max, over_sum), over_time)
 

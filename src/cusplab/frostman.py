@@ -115,13 +115,16 @@ def good_weight_range(tau, kappa):
     if tau >= _MAX_SUPPORT or 0.5 * kappa >= math.log(math.log((tau + _MAX_SUPPORT) / tau)):
         raise ValueError("kappa too large to normalize")
     target = math.exp(0.5 * kappa)
-    total, hi = 0.0, tau - 1
-    while total <= target:
-        hi += 1
-        total += 1.0 / (hi + 1.0)
-        if hi - tau >= _MAX_SUPPORT:
-            raise ValueError("kappa too large to normalize")
-    return tau, hi, total
+    # sum_{a=tau}^{h} 1/(a+1) > log((h+2)/(tau+1)), so the sum passes target
+    # within (tau+1) e^target - tau digits; cumsum adds in digit order
+    count = min(math.ceil((tau + 1) * math.exp(target)) - tau, _MAX_SUPPORT)
+    sums = np.arange(tau + 1.0, tau + 1.0 + count)
+    np.divide(1.0, sums, out=sums)  # in place: one array of at most 10^7 floats
+    np.cumsum(sums, out=sums)
+    k = int(np.searchsorted(sums, target, side="right"))
+    if k == count:
+        raise ValueError("kappa too large to normalize")
+    return tau, tau + k, float(sums[k])
 
 
 def good_measure(tau, kappa) -> CylinderMeasure:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .numerics import tail_extreme
+from .excursions import jarnik_ratios
 
 
 class DegenerateSpectrumError(ValueError):
@@ -127,16 +127,13 @@ def local_dim_sequence(trace, delta) -> LocalDimensionEstimate:
     finite-horizon liminf estimate.  That liminf is
     delta - (1 - delta) limsup d_n / t_n = theta_to_beta(theta), the level
     indexed by the limsup ratio theta of ``jarnik_ratios``.  Each beta_n is
-    ``theta_to_beta(d_n / t_n, delta)``, a map that stays monotone under float
-    rounding, so the estimate equals
-    ``theta_to_beta(jarnik_ratios(trace).theta_hat, delta)`` exactly.
+    ``theta_to_beta`` of a ratio in its ``theta_seq``, a map that stays
+    monotone under float rounding, so the liminf is ``theta_to_beta(theta_hat)``.
 
     The unknown comparability constant c of the measure formula only enters
     as c / t_n -> 0, so it is dropped rather than modeled.
     """
     _check_delta(delta)
-    recs = trace.entered()
-    if len(recs) < 2:
-        raise ValueError("need at least two entered excursions")
-    betas = [theta_to_beta(r.depth / r.time, delta) for r in recs]
-    return LocalDimensionEstimate(betas, tail_extreme(min, betas))
+    ratios = jarnik_ratios(trace)
+    betas = [theta_to_beta(theta, delta) for theta in ratios.theta_seq]
+    return LocalDimensionEstimate(betas, theta_to_beta(ratios.theta_hat, delta))

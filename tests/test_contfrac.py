@@ -174,6 +174,16 @@ def test_digit_count_must_be_nonnegative():
         ContinuedFraction.from_periodic((), (2,)).digits(-3)
 
 
+@pytest.mark.parametrize("prefix, period, message", [
+    ([], (), "empty digit sequence"),
+    ([2, 0, 3], (), "digits must be >= 1, got 0"),
+    ([1, 2], (3, 0), "digits must be >= 1, got 0"),
+])
+def test_digits_checked_on_construction(prefix, period, message):
+    with pytest.raises(ValueError, match=message):
+        ContinuedFraction(prefix, period)
+
+
 def test_periodic_lazy_expansion():
     cf = ContinuedFraction.from_periodic((1, 1, 100), (1,))
     assert cf.digits(6) == [1, 1, 100, 1, 1, 1]

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -93,7 +97,7 @@ def test_hurwitz_zeta_rejects_bad_arguments(x, q):
 
 def test_crude_matches_hurwitz_oracle():
     # independent oracle: bisect zeta(2s, n+shift) = 1 with scipy's Hurwitz zeta
-    for n, shift in [(2, 0), (2, 1), (5, 0), (10, 1), (100, 0)]:
+    for n, shift in [(2, 0), (2, 1), (5, 0), (10, 1), (100, 0), (3, 0.5), (7, 1 / 7)]:
         target = n + shift
 
         def f(s):
@@ -130,6 +134,47 @@ def test_crude_shift_ordering():
 def test_crude_no_root_full_alphabet():
     with pytest.raises(ValueError):
         crude_critical_exponent(1, 0)
+
+
+@pytest.mark.parametrize("n, upper, shift", [(20, 21, 0.0), (20, 21, 1 / 20), (5, 40, 0.0),
+                                             (5, 40, 0.2), (1, 2, 1.0), (3, 4000, 1 / 3)])
+def test_crude_finite_range_matches_direct_sum_oracle(n, upper, shift):
+    # a finite upper end is summed directly; oracle: bisect
+    # sum_{a=n..upper} (a + shift)^{-2s} = 1 on [0, 2] with exact summation
+    a = np.arange(n, upper + 1, dtype=float) + shift
+    lo, hi = 0.0, 2.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if math.fsum(a ** (-2.0 * mid)) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    assert crude_critical_exponent(n, shift, upper=upper) == pytest.approx(lo, abs=1e-9)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((2, -0.1), r"shift must lie in \[0, 1\]"),
+    ((2, 1.5), r"shift must lie in \[0, 1\]"),
+    ((0, 1), "n must be >= 1"),
+    ((5, 0, 1e-10, 4), "upper end 4 is below n = 5"),
+])
+def test_crude_rejects_bad_arguments(args, message):
+    with pytest.raises(ValueError, match=message):
+        crude_critical_exponent(*args)
+
+
+@pytest.mark.parametrize("args, message", [((0,), "lower digit bound must be >= 1"),
+                                           ((5, 4), "upper digit bound must be >= lower")])
+def test_digit_alphabet_rejects_bad_bounds(args, message):
+    with pytest.raises(ValueError, match=message):
+        DigitAlphabet(*args)
+
+
+def test_discretizations_reject_too_few_points():
+    with pytest.raises(ValueError, match="need at least 8 collocation nodes"):
+        transfer_dimension(DigitAlphabet(2, None), nodes=7)
+    with pytest.raises(ValueError, match="need at least 64 bins"):
+        ulam_dimension(DigitAlphabet(2, None), bins=63)
 
 
 # -- operator internals ----------------------------------------------------------
@@ -701,6 +746,71 @@ def test_pressure_root_without_sign_change_raises_at_once():
     with pytest.raises(NumericError, match="not bracketed"):
         _pressure_root(Doubling(), (0.2, 0.8), 1e-8)
     assert len(calls) == 2
+
+
+def test_estimate_never_leaves_its_bracket():
+    # {a >= 5000}: the crude bracket is 1.4e-6 wide and the Ulam root lies
+    # within the default tol 1e-8 of its upper end, so the search stops in the
+    # 1e-9 margin past it; the estimate is that end, with lambda evaluated there
+    alphabet = DigitAlphabet(5000, None)
+    est = ulam_dimension(alphabet, bins=1024)
+    assert est.bracket_lo <= est.dim <= est.bracket_hi
+    assert est.dim == est.bracket_hi
+    lam, _, _ = power_iteration(_UlamOperator(alphabet, 1024).matrix(est.dim))
+    assert est.residual == pytest.approx(abs(lam - 1.0), abs=1e-11)
+    assert abs(est.dim - transfer_dimension(alphabet).dim) < 1e-4
+
+
+@pytest.mark.parametrize("root, end", [(0.3 - 5e-10, 0), (0.8 + 5e-10, 1)])
+def test_pressure_root_in_a_margin_moves_to_the_end(root, end):
+    # lambda(s) = exp(root - s) crosses 1 inside the 1e-9 margin of a crude end
+    calls = []
+
+    class Exponential:
+        alphabet = DigitAlphabet(1, 2)
+
+        def matrix(self, s):
+            calls.append(s)
+            return math.exp(root - s) * np.eye(4)
+
+    crude = (0.3, 0.8)
+    got, residual = _pressure_root(Exponential(), crude, 1e-12)
+    assert got == crude[end]
+    assert calls[-1] == crude[end]
+    assert residual == pytest.approx(abs(math.exp(root - got) - 1.0), rel=1e-6)
+
+
+# each set is solved where importing scipy raises; {a >= 5000} at the
+# default tol is the case whose Ulam search ends in the bracket's margin
+_NO_SCIPY_PROBE = """
+from cusplab.dimension import DigitAlphabet as A, ulam_dimension as u, transfer_dimension as t
+u(A(1, 2), bins=1024)  # a narrow finite range: the per-row gather
+u(A(1, 200), bins=256)  # a wide one: gather plus dense scatter
+e2 = t(A(1, 2), nodes=24)
+assert abs(e2.dim - 0.53128050627720514) < 1e-12, e2
+e = t(A(5, 40))
+assert e.bracket_lo < e.dim < e.bracket_hi, e
+g, gu = t(A(1, None)), u(A(1, None), bins=256)
+assert all(e.bracket_lo < e.dim < e.bracket_hi for e in (g, gu)), (g, gu)
+assert abs(g.dim - 1.0) < 1e-9, g
+pairs = [(u(A(2, None)), t(A(2, None))), (u(A(5000, None), bins=1024), t(A(5000, None)))]
+assert all(e.bracket_lo <= e.dim <= e.bracket_hi and abs(e.dim - c.dim) < 1e-4
+           for e, c in pairs), pairs
+print("ok")
+"""
+
+
+def test_solves_without_scipy(tmp_path):
+    # the library computes every dimension with numpy alone: a scipy that
+    # raises on import must not stop any solve
+    (tmp_path / "scipy").mkdir()
+    (tmp_path / "scipy" / "__init__.py").write_text('raise ImportError("scipy is hidden")\n')
+    src = Path(dimension_module.__file__).resolve().parents[1]
+    path = os.pathsep.join([str(tmp_path), str(src), os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_PROBE], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ok"]
 
 
 def test_residual_is_lambda_at_the_returned_root():

@@ -240,6 +240,15 @@ def test_jarnik_ratios_bounded_type():
     assert jr.ratio_hat < 0.05
 
 
+def test_jarnik_ratios_theta_seq_is_depth_over_time():
+    # theta_seq holds d_n / t_n per entered excursion, and theta_hat is its
+    # supremum over the second half
+    tr = excursion_trace(ContinuedFraction.from_periodic((), (1, 3, 1, 7)), 60)
+    jr = jarnik_ratios(tr)
+    assert jr.theta_seq == [r.depth / r.time for r in tr.entered()]
+    assert jr.theta_hat == max(jr.theta_seq[len(jr.theta_seq) // 2:])
+
+
 def test_jarnik_ratios_omega_half_sequence():
     # depths 2^n log 2 realize log s_n = 2^n log 2, the omega = 1/2 pattern:
     # d/t -> theta = 1/3 and d/(2 sum) -> theta/(1-theta) = 1/2

@@ -210,6 +210,32 @@ def test_good_weight_range_unreachable_kappa_fails_fast():
     assert hi - lo + 1 == 298127
 
 
+def _good_weight_range_loop(tau, kappa):
+    """Reference: add 1/(a+1) digit by digit until the sum passes e^(kappa/2)."""
+    target = math.exp(0.5 * kappa)
+    total, hi = 0.0, tau - 1
+    while total <= target:
+        hi += 1
+        total += 1.0 / (hi + 1.0)
+    return tau, hi, total
+
+
+@pytest.mark.parametrize("tau, kappa", [(1, 0.1), (1, 2.0), (1, 4.0), (2, 3.0), (10, 2.0),
+                                        (100, 3.0), (1000, 1.0), (10 ** 5, 0.2)])
+def test_good_weight_range_matches_digit_loop(tau, kappa):
+    # the range and the normalizer are bit-identical to the digit-order sum
+    assert good_weight_range(tau, kappa) == _good_weight_range_loop(tau, kappa)
+
+
+def test_good_weight_range_at_the_support_cap():
+    # from tau = 1 the sum passes e^(kappa/2) within 10^7 digits up to kappa
+    # about 5.506, but the fail-fast check stops only kappa >= 5.56, so the
+    # search itself must find the cap; values from the digit loop
+    assert good_weight_range(1, 5.505) == (1, 9865670, 15.68178742895182)
+    with pytest.raises(ValueError, match="too large"):
+        good_weight_range(1, 5.51)
+
+
 def test_good_weight_range_rejects_nan_kappa():
     # NaN fails every comparison, so the check must be "not kappa > 0"
     for kappa in (math.nan, 0.0, -1.0):

@@ -189,6 +189,20 @@ def test_local_dim_oscillating_ratio():
                     == theta_to_beta(theta_hat, delta)), (name, delta)
 
 
+def test_local_dim_liminf_is_the_tail_minimum_of_its_sequence():
+    # the liminf is computed from theta_hat; it must be what the tail
+    # infimum of the returned beta_n reads
+    for depths in ([math.log(n + 2) for n in range(400)],
+                   [(2.0 ** n) * math.log(2) for n in range(1, 600)],
+                   _spike_depths(1000, ratio=1.0)):
+        tr = synthesize_trace(depths, gap=0.3)
+        for delta in (0.55, 0.6, 0.75, 0.9):
+            est = local_dim_sequence(tr, delta)
+            assert est.beta_seq == [theta_to_beta(t, delta)
+                                    for t in jarnik_ratios(tr).theta_seq]
+            assert est.tail_liminf == min(est.beta_seq[len(est.beta_seq) // 2:])
+
+
 def test_local_dim_degenerate():
     depths = [1.0, 2.0, 3.0]
     with pytest.raises(DegenerateSpectrumError):
