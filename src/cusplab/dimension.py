@@ -190,15 +190,17 @@ def crude_critical_exponent(n, shift, tol=1e-10, upper=None):
     m = n + shift
     if m < 2:
         raise ValueError("no root: the full-alphabet sum always exceeds 1")
-    shifted = np.array([shift])
-
-    def f(s):
-        if upper is None:
+    if upper is None:
+        def f(s):
             return hurwitz_zeta(2.0 * s, m) - 1.0
-        return math.log(sum(float(np.sum(blk ** (-2.0 * s))) for blk in _digit_blocks(
-            shifted, n, upper, _ASSEMBLY_BLOCK)))
+        lo, hi = 0.5 + 1e-9, 4.0
+    else:
+        shifted = np.array([shift])
 
-    lo, hi = (0.5 + 1e-9, 4.0) if upper is None else (0.0, 2.0)
+        def f(s):
+            return math.log(sum(float(np.sum(blk ** (-2.0 * s))) for blk in _digit_blocks(
+                shifted, n, upper, _ASSEMBLY_BLOCK)))
+        lo, hi = 0.0, 2.0
     return bracketed_root(f, lo, hi, xtol=tol)
 
 

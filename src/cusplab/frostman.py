@@ -101,9 +101,8 @@ class CylinderMeasure:
         return float(self._suffix[digit - self.lo])
 
 
-def good_weight_range(tau, kappa):
-    """Digit range [tau, tau'] and normalizer for the deep-excursion measure:
-    tau' is minimal with sum_{a=tau}^{tau'} 1/(a+1) > e^{kappa/2}."""
+def _good_weights(tau, kappa):
+    """good_weight_range's (tau, tau', sum), then the weights 1/(a+1) it summed."""
     tau = int(tau)
     if tau < 1:
         raise ValueError("tau must be >= 1")
@@ -118,18 +117,23 @@ def good_weight_range(tau, kappa):
     # sum_{a=tau}^{h} 1/(a+1) > log((h+2)/(tau+1)), so the sum passes target
     # within (tau+1) e^target - tau digits; cumsum adds in digit order
     count = min(math.ceil((tau + 1) * math.exp(target)) - tau, _MAX_SUPPORT)
-    sums = np.arange(tau + 1.0, tau + 1.0 + count)
-    np.divide(1.0, sums, out=sums)  # in place: one array of at most 10^7 floats
-    np.cumsum(sums, out=sums)
+    raw = 1.0 / np.arange(tau + 1.0, tau + 1.0 + count)
+    sums = np.cumsum(raw)
     k = int(np.searchsorted(sums, target, side="right"))
     if k == count:
         raise ValueError("kappa too large to normalize")
-    return tau, tau + k, float(sums[k])
+    return tau, tau + k, float(sums[k]), raw[:k + 1]
+
+
+def good_weight_range(tau, kappa):
+    """Digit range [tau, tau'] and normalizer for the deep-excursion measure:
+    tau' is minimal with sum_{a=tau}^{tau'} 1/(a+1) > e^{kappa/2}."""
+    return _good_weights(tau, kappa)[:3]
 
 
 def good_measure(tau, kappa) -> CylinderMeasure:
-    lo, hi, _ = good_weight_range(tau, kappa)
-    return CylinderMeasure.from_rule(lo, hi, "inverse_successor")
+    lo, hi, _, raw = _good_weights(tau, kappa)  # normalized as from_rule would
+    return CylinderMeasure(lo, hi, raw / raw.sum())
 
 
 _ATOM_TOL = 1e-18

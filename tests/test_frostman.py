@@ -197,6 +197,16 @@ def test_good_weight_range_rule():
     assert math.fsum(m.weights) == pytest.approx(1.0, abs=1e-14)
 
 
+@pytest.mark.parametrize("tau, kappa", [(1, 0.1), (10, 2.0), (1, 5.0)])
+def test_good_measure_weights_match_from_rule(tau, kappa):
+    # good_measure normalizes the weights its range search summed; they are
+    # bit-identical to the inverse-successor rule over the same range
+    lo, hi, _ = good_weight_range(tau, kappa)
+    m = good_measure(tau, kappa)
+    assert (m.lo, m.hi) == (lo, hi)
+    assert m.weights.tobytes() == CylinderMeasure.from_rule(lo, hi).weights.tobytes()
+
+
 def test_good_weight_range_unreachable_kappa_fails_fast():
     # no support of up to 10^7 digits sums past e^(kappa/2) here (kappa = 6
     # from tau = 1 needs about 8e8); the check must not walk the digits first
