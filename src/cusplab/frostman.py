@@ -68,14 +68,17 @@ class CylinderMeasure:
             raise ValueError("need 1 <= lo <= hi")
         if hi - lo >= _MAX_SUPPORT:
             raise ValueError(f"digit range [{lo}, {hi}] exceeds {_MAX_SUPPORT} digits")
-        a = np.arange(lo, hi + 1, dtype=float)
+        # one array: the digits become their weights, then the normalized weights
+        raw = np.arange(lo, hi + 1, dtype=float)
         if rule == "inverse_successor":
-            raw = 1.0 / (a + 1.0)
+            raw += 1.0
+            np.divide(1.0, raw, out=raw)
         elif rule == "uniform":
-            raw = np.ones_like(a)
+            raw.fill(1.0)
         else:
             raise ValueError(f"unknown weight rule {rule!r}")
-        return cls(lo, hi, raw / raw.sum())
+        raw /= raw.sum()
+        return cls(lo, hi, raw)
 
     def weight(self, digit: int) -> float:
         if self.lo <= digit <= self.hi:
@@ -89,8 +92,11 @@ class CylinderMeasure:
 
     @cached_property
     def _suffix(self):
-        # mass of the digits strictly greater than each digit lo..hi
-        return np.concatenate([np.cumsum(self.weights[::-1])[::-1][1:], [0.0]])
+        # mass of the digits strictly greater than each digit lo..hi: the
+        # running sum from hi down, written backwards into one array
+        suffix = np.zeros_like(self.weights)
+        np.cumsum(self.weights[:0:-1], out=suffix[-2::-1])
+        return suffix
 
     def mass_above(self, digit: int) -> float:
         """Total weight of digits strictly greater than ``digit``."""
@@ -132,8 +138,9 @@ def good_weight_range(tau, kappa):
 
 
 def good_measure(tau, kappa) -> CylinderMeasure:
-    lo, hi, _, raw = _good_weights(tau, kappa)  # normalized as from_rule would
-    return CylinderMeasure(lo, hi, raw / raw.sum())
+    lo, hi, _, raw = _good_weights(tau, kappa)
+    raw /= raw.sum()  # normalized as from_rule does
+    return CylinderMeasure(lo, hi, raw)
 
 
 _ATOM_TOL = 1e-18

@@ -258,3 +258,22 @@ def test_value_with_digit_beyond_float_range():
     assert ContinuedFraction([3, 2 ** 1100, 2]).value() == 1.0 / 3.0
     assert ContinuedFraction([2 ** 1100, 5]).value() == 0.0
     assert ContinuedFraction.from_periodic((1, 10 ** 400), (2,)).value() == 1.0
+
+
+def test_numpy_digit_arrays_become_python_ints():
+    # the trace workload passes uint64 streams: tolist() keeps digits at and
+    # past 2^63 exact, and an int64 array gives the Python ints' expansion
+    np = pytest.importorskip("numpy")
+    big = [2 ** 63, 3, 2 ** 64 - 1, 1]
+    cf = ContinuedFraction(np.array(big, dtype=np.uint64), np.array([2, 5], dtype=np.uint64))
+    assert cf.prefix == tuple(big) and cf.period == (2, 5)
+    assert all(type(d) is int for d in cf.prefix + cf.period)
+    small = [4, 1, 7, 300, 2]
+    from_array = ContinuedFraction(np.array(small, dtype=np.int64))
+    from_list = ContinuedFraction(small)
+    assert from_array.prefix == from_list.prefix and type(from_array.prefix[0]) is int
+    assert cl.convergents(from_array, 5) == cl.convergents(from_list, 5)
+    # other arrays still go through int()
+    assert ContinuedFraction(np.array([2.0, 3.0])).prefix == (2, 3)
+    with pytest.raises(ValueError, match="got 0"):
+        ContinuedFraction(np.array([2, 0], dtype=np.int64))

@@ -330,13 +330,16 @@ def test_ulam_rowsum_identity():
 
 
 def ulam_direct_oracle(op, s, lo, hi):
-    """The Ulam matrix of the digits lo..hi, one digit at a time."""
+    """The Ulam matrix of the digits lo..hi on the operator's kept bins, one
+    digit at a time: rows at op.x, columns through op.pos (every bin, for an
+    infinite range)."""
     b, w, x = op.bins, op.w, op.x
-    rows = np.arange(b)
-    mat = np.zeros((b, b))
+    pos = np.arange(b) if op.pos is None else op.pos
+    rows = np.arange(len(x))
+    mat = np.zeros((len(x), len(x)))
     for a in range(lo, hi + 1):
         kidx = np.minimum((1.0 / ((a + x) * w)).astype(np.int64), b - 1)
-        mat[rows, kidx] += (a + x) ** (-2.0 * s)  # one entry per row: no clashes
+        mat[rows, pos[kidx]] += (a + x) ** (-2.0 * s)  # one entry per row: no clashes
     return mat
 
 
@@ -398,21 +401,22 @@ def test_ulam_narrow_finite_range_is_a_gather(alphabet, bins):
     # weight) pair per digit and row and no head, with the products of the
     # digit-by-digit matrix
     op = _UlamOperator(alphabet, bins)
-    digits = alphabet.upper - alphabet.lower + 1
+    digits, kept = alphabet.upper - alphabet.lower + 1, len(op.x)
     rng = np.random.default_rng(digits)
     for s in (-0.5, 0.6, 0.95):
         m = op.matrix(s)
-        assert m.shape == (bins, bins) and m.wgt.shape == (digits, bins)
-        assert m.head.shape == (bins, 0)
+        assert m.shape == (kept, kept) and m.wgt.shape == (digits, kept)
+        assert m.head.shape == (kept, 0)
         ref = ulam_direct_oracle(op, s, alphabet.lower, alphabet.upper)
-        for v in rng.uniform(0.0, 1.0, (3, bins)):
+        for v in rng.uniform(0.0, 1.0, (3, kept)):
             assert np.allclose(m @ v, ref @ v, rtol=1e-14, atol=0.0)
     # {3..27} and {1..31} end at the split, so one digit more goes into a
     # head; {1..3} and {5..13} are still all gather
     at_split = (alphabet.upper + 1) * (alphabet.upper + 2) > alphabet.lower * bins
     assert at_split == (alphabet.upper in (27, 31))
-    wider = _UlamOperator(DigitAlphabet(alphabet.lower, alphabet.upper + 1), bins).matrix(0.6)
-    assert wider.wgt.shape == (digits + (not at_split), bins)
+    wider_op = _UlamOperator(DigitAlphabet(alphabet.lower, alphabet.upper + 1), bins)
+    wider = wider_op.matrix(0.6)
+    assert wider.wgt.shape == (digits + (not at_split), len(wider_op.x))
     assert (wider.head.shape[1] > 0) == at_split
 
 
@@ -513,7 +517,7 @@ def test_ulam_products_match_digit_by_digit_oracle(alphabet, bins):
         else:
             ref = ulam_direct_oracle(op, s, alphabet.lower, alphabet.upper)
         m = op.matrix(s)
-        for v in rng.uniform(0.0, 1.0, (3, bins)):
+        for v in rng.uniform(0.0, 1.0, (3, len(op.x))):
             assert np.allclose(m @ v, ref @ v, rtol=1e-14, atol=0.0)
 
 
@@ -540,6 +544,107 @@ def test_ulam_finite_rowsum():
     rowsum = op.matrix(0.9) @ np.ones(128)
     exact = (hurwitz_zeta(1.8, 3 + op.x) - hurwitz_zeta(1.8, 41 + op.x))
     assert np.max(np.abs(rowsum - exact)) < 1e-12
+
+
+def ulam_full_oracle(alphabet, bins, s, split=None):
+    """The bins x bins Ulam matrix of a finite range on every bin, one digit
+    at a time, with its bin centers; the digits from ``split`` on are summed
+    on their own and then added, as an operator's head is."""
+    w = alphabet.domain / bins
+    x = (np.arange(bins) + 0.5) * w
+
+    def digits(lo, hi):
+        mat = np.zeros((bins, bins))
+        for a in range(lo, hi + 1):
+            kidx = np.minimum((1.0 / ((a + x) * w)).astype(np.int64), bins - 1)
+            mat[np.arange(bins), kidx] += (a + x) ** (-2.0 * s)
+        return mat
+
+    split = alphabet.upper + 1 if split is None else split
+    return digits(alphabet.lower, split - 1) + digits(split, alphabet.upper), x
+
+
+_KEPT_CASES = [(DigitAlphabet(1, 2), 512), (DigitAlphabet(2, 5), 512),
+               (DigitAlphabet(15, 16), 512), (DigitAlphabet(1, 40), 512),
+               (DigitAlphabet(3, 60), 512), (DigitAlphabet(1, 61), 256)]
+
+
+@pytest.mark.parametrize("alphabet, bins", _KEPT_CASES)
+def test_ulam_kept_bins_are_closed(alphabet, bins):
+    # every column a kept row reaches is kept, so the dropped columns of the
+    # full matrix are zero on every kept row; the dropped block has no cycle
+    # (it is nilpotent), so the kept block holds every nonzero eigenvalue
+    op = _UlamOperator(alphabet, bins)
+    kept = np.diff(op.pos, prepend=-1) == 1
+    full, x = ulam_full_oracle(alphabet, bins, 0.7, split=op.head_lo)
+    assert np.array_equal(op.x, x[kept])
+    assert 0 < len(op.x) < bins
+    reached = np.flatnonzero(full[kept].any(axis=0))
+    assert kept[reached].all()
+    assert not full[np.ix_(kept, ~kept)].any()
+    dropped = (full[np.ix_(~kept, ~kept)] != 0).astype(float)
+    power = dropped
+    for _ in range(int(np.log2(len(power))) + 1):  # power ** 2^k with 2^k > len
+        power = ((power @ power) != 0).astype(float)
+    assert not power.any()
+    # the kept block is the full matrix's, bit for bit
+    assert np.array_equal(ulam_dense(op.matrix(0.7)), full[np.ix_(kept, kept)])
+
+
+@pytest.mark.parametrize("alphabet, bins", _KEPT_CASES[:5])
+def test_ulam_kept_block_has_the_leading_eigenvalue(alphabet, bins):
+    op = _UlamOperator(alphabet, bins)
+    for s in (0.3, 0.7):
+        full = np.linalg.eigvals(ulam_full_oracle(alphabet, bins, s)[0])
+        kept = np.linalg.eigvals(ulam_dense(op.matrix(s)))
+        lead = full[np.argmax(np.abs(full))]
+        assert kept[np.argmax(np.abs(kept))] == pytest.approx(lead, rel=1e-14)
+
+
+def test_ulam_kept_bins_of_a_two_digit_cantor_set():
+    # {15, 16} lies in [1/17, 1/15]; at 512 bins of [0, 1/15] its maps keep
+    # coming back to 2 bins
+    op = _UlamOperator(DigitAlphabet(15, 16), 512)
+    assert len(op.x) == 2 and op.matrix(0.5).shape == (2, 2)
+
+
+@pytest.mark.parametrize("lower", [1, 2, 300])
+def test_ulam_infinite_range_keeps_every_bin(lower):
+    op = _UlamOperator(DigitAlphabet(lower, None), 256)
+    assert op.pos is None
+    assert np.array_equal(op.x, (np.arange(256) + 0.5) * op.w)
+    assert op.matrix(0.7).shape == (256, 256)
+
+
+@pytest.mark.parametrize("alphabet", [DigitAlphabet(1, 2), DigitAlphabet(2, 5),
+                                      DigitAlphabet(15, 16), DigitAlphabet(1, 40),
+                                      DigitAlphabet(3, 60), DigitAlphabet(5, 40),
+                                      DigitAlphabet(1, 61)])
+def test_ulam_kept_bins_root_matches_a_full_bins_solve(monkeypatch, alphabet):
+    # the same solve with every bin kept, as before the kept bins: the root
+    # and residual move by rounding only
+    est = ulam_dimension(alphabet, bins=1024)
+    monkeypatch.setattr(_UlamOperator, "_kept_bins",
+                        lambda self, x, top: np.ones(self.bins, dtype=bool))
+    full = ulam_dimension(alphabet, bins=1024)
+    assert abs(est.dim - full.dim) <= 1e-12
+    assert abs(est.residual - full.residual) <= 1e-12
+
+
+def test_ulam_kept_bins_build_holds_no_digits_by_bins_array():
+    # {3..4000} at 1024 bins: its 3946 head digits times 1024 bins would take
+    # 32 MB; the build, which walks only each row's run of head columns,
+    # peaks below one assembly, which scatters them in blocks
+    op = _UlamOperator(DigitAlphabet(3, 4000), 1024)
+    peaks = []
+    for make in (lambda: _UlamOperator(DigitAlphabet(3, 4000), 1024), lambda: op.matrix(0.7)):
+        tracemalloc.start()
+        try:
+            make()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1] < 4e6
 
 
 def test_pressure_monotone_in_s():

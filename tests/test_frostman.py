@@ -187,6 +187,20 @@ def test_wide_range_sample_memory_bounded():
     assert peak < 45e6
 
 
+def test_wide_range_sample_holds_one_array_per_sum():
+    # 10^6 digits: the weights, their cumulative sums and their suffix sums
+    # take 8 MB each, and none of them is built through a second full-size
+    # temporary (the weights were formed in three arrays, the suffix sums in
+    # two: 33 MB)
+    tracemalloc.start()
+    try:
+        sample_rows(CylinderMeasure.from_rule(1, 10 ** 6), 0, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 26e6
+
+
 def test_good_weight_range_rule():
     lo, hi, total = good_weight_range(10, 2.0)
     assert lo == 10
