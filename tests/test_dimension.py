@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -551,17 +552,10 @@ def ulam_full_oracle(alphabet, bins, s, split=None):
     at a time, with its bin centers; the digits from ``split`` on are summed
     on their own and then added, as an operator's head is."""
     w = alphabet.domain / bins
-    x = (np.arange(bins) + 0.5) * w
-
-    def digits(lo, hi):
-        mat = np.zeros((bins, bins))
-        for a in range(lo, hi + 1):
-            kidx = np.minimum((1.0 / ((a + x) * w)).astype(np.int64), bins - 1)
-            mat[np.arange(bins), kidx] += (a + x) ** (-2.0 * s)
-        return mat
-
+    full = SimpleNamespace(bins=bins, w=w, x=(np.arange(bins) + 0.5) * w, pos=None)
     split = alphabet.upper + 1 if split is None else split
-    return digits(alphabet.lower, split - 1) + digits(split, alphabet.upper), x
+    return (ulam_direct_oracle(full, s, alphabet.lower, split - 1)
+            + ulam_direct_oracle(full, s, split, alphabet.upper)), full.x
 
 
 _KEPT_CASES = [(DigitAlphabet(1, 2), 512), (DigitAlphabet(2, 5), 512),
