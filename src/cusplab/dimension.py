@@ -10,20 +10,19 @@ Three routes are implemented and cross-checked against each other:
   roots for shift 1/N (1 for {a >= N}) and shift 0.
 * ``transfer_dimension`` solves lambda(s) = 1 for the leading eigenvalue of
   the Gauss-map transfer operator (L_s f)(x) = sum_a (a+x)^{-2s} f(1/(a+x)),
-  discretized by polynomial collocation on Chebyshev-Lobatto nodes.  Infinite
-  digit ranges keep an exact polynomial tail: the digits N..M of {a >= N},
-  M = 16 max(N, 2), are summed directly, and beyond them the interpolant,
-  rewritten as a degree-4 polynomial in u/eps on the tail interval
-  [0, eps = 1/(M + 1)] through its values at 5 Lobatto points there, sums
-  against Hurwitz zeta values, so no mass is dropped.  The basis values on
-  [0, eps] are bounded, so the tail's rounding does not grow with the node
-  count; its one error is the degree-4 interpolation on [0, eps], which falls
-  like (MN)^-5 M^(1-2s) at cutoff M, so a cutoff proportional to N serves
-  every N.  Against a
-  direct sum to 1024N the root moves by at most 3.3e-16 (N in {2, 3, 5, 10,
-  100} at 8-100 nodes, N = 500 at 12 and 20, N up to 10 at 300); a cutoff of
-  4N moves it by up to 4e-13.  {a >= 1} takes M = 32, as M = 16 leaves its
-  first two eigenvalues at s = 1 off by 4e-13 and 5e-12 at any node count.
+  discretized by polynomial collocation on Chebyshev-Lobatto nodes.  The
+  first 128 digits N..M of any range are summed directly, through basis
+  values built once; beyond them the interpolant, rewritten as a degree-4
+  polynomial on the tail interval [0, 1/(M + 1)] through its values at 5
+  Lobatto points there, needs per node x only the tail sums of
+  (a + x)^{-2s-m}, m = 0..4: Hurwitz zeta values for {a >= N}, so no mass is
+  dropped, and a digit walk of 5 values per node and digit for a finite
+  range.  The basis values on the tail interval are bounded, so the tail's
+  rounding does not grow with the node count; its one error is the degree-4
+  interpolation, which falls like (MN)^-5 M^(1-2s).  The root lies within
+  1.1e-16 of a direct sum to 1024N for {a >= N} (N in {1, 2, 3, 5, 10, 100},
+  12-100 nodes) and within 3.3e-16 of an all-direct sum for finite ranges up
+  to {3..4000} (12-40 nodes); a head of 64 digits leaves {1..100} 3.1e-15 off.
 * ``ulam_dimension`` repeats the computation on a uniform grid of bins
   (bin-center collocation), purely as an independent oracle.  Digits a with
   a(a + 1) <= lower * bins take one gather entry per row; the rest land in a
@@ -203,9 +202,9 @@ def crude_critical_exponent(n, shift, tol=1e-10, upper=None):
         lo, hi = 0.5 + 1e-9, 4.0
     else:
         shifted = np.array([shift])
-        # a range that fits one block keeps it for every s, as collocation does
+        # a range that fits one block keeps it for every s
         kept = (list(_digit_blocks(shifted, n, upper, _ASSEMBLY_BLOCK))
-                if upper - n + 1 <= _block_digits(shifted, _ASSEMBLY_BLOCK) else None)
+                if upper - n < _ASSEMBLY_BLOCK else None)
 
         def f(s):
             blocks = kept or _digit_blocks(shifted, n, upper, _ASSEMBLY_BLOCK)
@@ -245,80 +244,69 @@ def _basis_at(nodes, bw, u):
     return vals
 
 
-def _block_digits(x, entries):
-    """Digits per block of _digit_blocks(x, lo, hi, entries)."""
-    return max(1, entries // len(x))
-
-
 def _digit_blocks(x, lo, hi, entries):
     """The (len(x), digits) blocks a + x for the digits a = lo..hi in order,
-    _block_digits(x, entries) digits each (the last may hold fewer).  A caller
-    that folds each block in before taking the next holds O(entries) values
-    at a time, however many digits the range has."""
-    step = _block_digits(x, entries)
+    max(1, entries // len(x)) digits each (the last may hold fewer).  A
+    caller that folds each block in before taking the next holds O(entries)
+    values at a time, however many digits the range has."""
+    step = max(1, entries // len(x))
     for start in range(lo, hi + 1, step):
         a = np.arange(start, min(start + step, hi + 1), dtype=float)
         yield x[:, None] + a[None, :]
 
 
-_TAIL_ORDER = 5  # polynomial terms of the interpolant used for the zeta tail
-_ASSEMBLY_BLOCK = 1 << 20  # basis values (nodes^2 per digit) per assembly chunk
-# Infinite ranges: digits up to _DIRECT_RATIO * max(N, 2) are summed one by
-# one and the rest by the zeta tail, whose interpolation error falls with both
-# the cutoff and N (see the module docstring), so one ratio serves every N.
-_DIRECT_RATIO = 16
+_TAIL_ORDER = 5  # polynomial terms of the interpolant used for the tail
+_ASSEMBLY_BLOCK = 1 << 20  # values a + x per block of a long digit walk
+_DIRECT_DIGITS = 128  # the first digits of any range, summed one by one
 
 
 class _CollocationOperator:
-    """The collocation matrix at any s.  What does not depend on s, the tail's
-    interpolation coefficients and, when the direct digits fit one assembly
-    chunk, that chunk's a + x and basis values, is built once, here."""
+    """The collocation matrix at any s.  What does not depend on s, a + x and
+    the basis values of the direct digits and the tail's coefficients, is
+    built once, here."""
 
     def __init__(self, alphabet: DigitAlphabet, nodes: int):
         if nodes < 8:
             raise ValueError("need at least 8 collocation nodes")
         self.alphabet = alphabet
-        h = alphabet.domain
-        self.x = _lobatto_nodes(nodes, h)
-        self.bw = _bary_weights(nodes)
-        self.direct_hi = (_DIRECT_RATIO * max(alphabet.lower, 2) if alphabet.infinite
-                          else alphabet.upper)
-        # a + x values per chunk of direct digits; their basis values take
-        # nodes times as many, at most _ASSEMBLY_BLOCK
-        self.chunk = _ASSEMBLY_BLOCK // nodes
-        digits = self.direct_hi - alphabet.lower + 1
-        self.kept = (list(self._direct_blocks())
-                     if digits <= _block_digits(self.x, self.chunk) else None)
-        if alphabet.infinite:
-            # the interpolant on the tail interval [0, eps] as a polynomial
-            # sum_m c_m (u/eps)^m through its values at _TAIL_ORDER Lobatto
-            # points there; (a + x)^{-2s} (u/eps)^m at u = 1/(a + x) sums over
-            # the tail digits to eps^-m zeta(2s + m, direct_hi + 1 + x)
-            self.eps = 1.0 / (self.direct_hi + 1.0)
+        self.x, bw = _lobatto_nodes(nodes, alphabet.domain), _bary_weights(nodes)
+        direct_hi = min(alphabet.lower + _DIRECT_DIGITS - 1, alphabet.upper or math.inf)
+        a = np.arange(alphabet.lower, direct_hi + 1, dtype=float)
+        self.denom = self.x[:, None] + a[None, :]  # (nodes, digits)
+        self.basis = _basis_at(self.x, bw, (1.0 / self.denom).ravel()).reshape(
+            *self.denom.shape, nodes)
+        self.coef = None
+        if direct_hi != alphabet.upper:
+            # the interpolant on the tail interval [0, eps] through its values at
+            # _TAIL_ORDER Lobatto points there, as a polynomial sum_m c_m u^m
+            # (solved in u/eps, where the Vandermonde matrix is well conditioned)
+            eps, self.tail_lo = 1.0 / (direct_hi + 1.0), direct_hi + 1
             t = _lobatto_nodes(_TAIL_ORDER, 1.0)
             self.coef = np.linalg.solve(np.vander(t, increasing=True),
-                                        _basis_at(self.x, self.bw, self.eps * t))  # (m, nodes)
-            self.tail_q = self.direct_hi + 1.0 + self.x
-
-    def _direct_blocks(self):
-        """(a + x, basis values at 1/(a + x)) per chunk of direct digits, of
-        shapes (k, c) and (k, c, k); each chunk is built when it is taken."""
-        k = len(self.x)
-        for denom in _digit_blocks(self.x, self.alphabet.lower, self.direct_hi, self.chunk):
-            yield denom, _basis_at(self.x, self.bw, (1.0 / denom).ravel()).reshape(
-                *denom.shape, k)
+                                        _basis_at(self.x, bw, eps * t))  # (m, nodes)
+            self.coef *= eps ** -np.arange(_TAIL_ORDER, dtype=float)[:, None]
 
     def matrix(self, s):
-        k = len(self.x)
-        out = np.zeros((k, k))
-        # a streamed basis block is freed before the next chunk builds its own
-        for denom, basis in self.kept or self._direct_blocks():
-            out += np.einsum("kc,kcj->kj", denom ** (-2.0 * s), basis)
-        if self.alphabet.infinite:
-            for m in range(_TAIL_ORDER):
-                zet = hurwitz_zeta(2.0 * s + m, self.tail_q)
-                out += np.outer(zet * self.eps ** -m, self.coef[m])
+        out = np.einsum("kc,kcj->kj", self.denom ** (-2.0 * s), self.basis)
+        if self.coef is not None:
+            out += self._tail_sums(s).T @ self.coef
         return out
+
+    def _tail_sums(self, s):
+        """(m, node) sums over the tail digits a of (a + x)^{-2s-m}, m <
+        _TAIL_ORDER: Hurwitz zeta values for an infinite range, a walk over
+        the digits for a finite one."""
+        if self.alphabet.infinite:
+            return np.array([hurwitz_zeta(2.0 * s + m, self.tail_lo + self.x)
+                             for m in range(_TAIL_ORDER)])
+        sums = np.zeros((_TAIL_ORDER, len(self.x)))
+        for ax in _digit_blocks(self.x, self.tail_lo, self.alphabet.upper, _ASSEMBLY_BLOCK):
+            term = ax ** (-2.0 * s)
+            np.divide(1.0, ax, out=ax)
+            for m in range(_TAIL_ORDER):
+                sums[m] += term.sum(axis=1)
+                term *= ax
+        return sums
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +372,7 @@ class _UlamOperator:
             np.take(self.pos, col, out=col, mode="clip")
         starts = np.flatnonzero(np.diff(col, prepend=-1))
         self.runs = col[starts], np.diff(starts, append=col.size)
+        self.wgt, self.head = np.empty_like(self.ax), None  # refilled at each s
 
     def _gather_top(self):
         """The last gather digit: the largest a with a(a + 1) <= lower * bins."""
@@ -436,12 +425,18 @@ class _UlamOperator:
         return kept
 
     def matrix(self, s):
-        return _UlamMatrix(self.runs, self.ax ** (-2.0 * s), self._head(s))
+        """The matrix at s.  It holds the operator's own weight and head
+        arrays, so it is valid until the operator's next ``matrix`` call."""
+        np.power(self.ax, -2.0 * s, out=self.wgt)
+        return _UlamMatrix(self.runs, self.wgt, self._head(s))
 
     def _head(self, s):
         b, x, lo = len(self.x), self.x, self.head_lo
-        head = np.zeros((b, self.head_cols))
+        if self.head is None:  # made by the first evaluation, when the solve needs it
+            self.head = np.empty((b, self.head_cols))
+        head = self.head
         if not self.alphabet.infinite:
+            head.fill(0.0)
             row_start = self.head_cols * np.arange(b)[:, None]
             for ax in _digit_blocks(x, lo, self.alphabet.upper, _SCATTER_BLOCK):
                 cols = self._columns(ax)

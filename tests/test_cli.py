@@ -430,6 +430,32 @@ def test_readme_dim_fn_values_pinned(tmp_path):
             assert abs(float(got) - want) <= 1e-14
 
 
+# the same columns of two more README commands, whose direct digit counts
+# differ most between summing the digits up to 16N and summing 128: the
+# sweep's N = 1000 row, and `dim-fn 2,100 --nodes 100`
+DIM_FN_PINNED_ROWS = {
+    ("1000", "--nodes", "20", "--tol", "1e-9"): {
+        1000: (0.60975178946793107, 0.60976136408100567, 0.60976136235565614,
+               1.0820233597996776e-12)},
+    ("2,100", "--nodes", "100"): {
+        2: (0.79139454858709568, 0.8643236194984748, 0.84088458641466646,
+            4.2577052994374753e-13),
+        100: (0.63890917004039538, 0.63907862387678249, 0.63907825086562586,
+              4.4408920985006262e-16)},
+}
+
+
+@pytest.mark.parametrize("args", list(DIM_FN_PINNED_ROWS), ids=["sweep-1000", "nodes-100"])
+def test_dim_fn_rows_pinned(args, tmp_path):
+    assert main(["dim-fn", *args, "--out", str(tmp_path)]) == 0
+    _, rows = parse_csv((tmp_path / "dim_fn.csv").read_text())
+    want = DIM_FN_PINNED_ROWS[args]
+    assert [int(r[0]) for r in rows] == list(want)
+    for r in rows:
+        for got, pinned in zip(r[1:], want[int(r[0])]):
+            assert abs(float(got) - pinned) <= 1e-14
+
+
 def test_dim_fn_at_100_nodes(tmp_path):
     # the collocation tail stays accurate at high node counts: the N = 100 root
     # at 100 nodes is the README's 20-node root

@@ -209,36 +209,43 @@ def test_digit_blocks_tile_the_range_in_order(lo, hi, entries):
 
 
 def test_collocation_assembly_memory_bounded():
-    # a chunk's basis block holds at most _ASSEMBLY_BLOCK values (8.4 MB) and
-    # is freed before the next one is built, so an assembly peaks near one
-    # block at any node count; the 961 direct digits of {a >= 64} would take
-    # 31 MB in one block at 64 nodes.  The 256 of {a >= 17} fill exactly one
-    # block, which the operator keeps from its construction on
-    for lower, kept in ((64, False), (17, True)):
+    # an operator keeps basis values for at most its first 128 digits, built
+    # once, and sends every later digit through the tail, so an evaluation
+    # at 64 nodes peaks near those 4.2 MB however large N is: summing the
+    # digits of {a >= 64} to 16N one by one would take 31 MB of basis values,
+    # and all of {3..4000} 131 MB
+    for alphabet in (DigitAlphabet(17, None), DigitAlphabet(64, None),
+                     DigitAlphabet(10**6, None), DigitAlphabet(3, 4000)):
         tracemalloc.start()
         try:
-            op = _CollocationOperator(DigitAlphabet(lower, None), 64)
+            op = _CollocationOperator(alphabet, 64)
             op.matrix(0.8)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (op.kept is not None) == kept
-        assert peak < 20e6
+        assert op.basis.shape[1] <= 128
+        # a finite range's tail walk adds its two block arrays, 2 x 2.0 MB for {3..4000}
+        walk = 0 if alphabet.infinite else 2 * 8 * 64 * (alphabet.upper - alphabet.lower - 127)
+        assert peak < 8e6 + walk
 
 
 @pytest.mark.parametrize("make, kind", [
-    (lambda: _CollocationOperator(DigitAlphabet(1, 2), 20), "kept"),
-    (lambda: _CollocationOperator(DigitAlphabet(5, None), 20), "kept"),
-    (lambda: _CollocationOperator(DigitAlphabet(3, 4000), 40), "streamed"),
+    (lambda: _CollocationOperator(DigitAlphabet(1, 2), 20), "direct"),
+    (lambda: _CollocationOperator(DigitAlphabet(5, None), 20), "zeta_tail"),
+    (lambda: _CollocationOperator(DigitAlphabet(3, 4000), 40), "digit_tail"),
     (lambda: _UlamOperator(DigitAlphabet(5, 12), 256), "gather"),
     (lambda: _UlamOperator(DigitAlphabet(1, 61), 256), "head"),
     (lambda: _UlamOperator(DigitAlphabet(2, None), 256), "head")])
 def test_operator_geometry_is_not_changed_by_an_evaluation(make, kind):
-    # the geometry an operator builds once serves every s: one operator
-    # evaluated at 0.6, 0.9, 0.6 gives the bytes of a fresh operator at each s
+    # the geometry an operator builds once, and the arrays an Ulam operator
+    # refills, serve every s: one operator evaluated at 0.6, 0.9, 0.6 gives
+    # the bytes of a fresh operator at each s
     op = make()
-    assert (kind == "kept") == (getattr(op, "kept", None) is not None)
-    assert (kind == "gather") == (getattr(op, "head_cols", None) == 0)
+    if isinstance(op, _CollocationOperator):
+        assert (kind == "direct") == (op.coef is None)
+        assert (kind == "zeta_tail") == (op.coef is not None and op.alphabet.infinite)
+    else:
+        assert (kind == "gather") == (op.head_cols == 0)
 
     def as_bytes(m):
         if isinstance(m, np.ndarray):
@@ -250,10 +257,10 @@ def test_operator_geometry_is_not_changed_by_an_evaluation(make, kind):
 
 
 @pytest.mark.parametrize("alphabet, calls_per_solve", [
-    (DigitAlphabet(1, 2), 1), (DigitAlphabet(5, None), 2)])
+    (DigitAlphabet(1, 2), 1), (DigitAlphabet(5, None), 2), (DigitAlphabet(3, 4000), 2)])
 def test_collocation_basis_built_once_per_solve(monkeypatch, alphabet, calls_per_solve):
-    # a range whose direct digits fit one chunk takes their basis values, and
-    # an infinite range its tail coefficients, once per solve, not once per
+    # the basis values of the direct digits, and those of a range with a tail
+    # for its tail coefficients, are built once per solve, not once per
     # evaluation
     basis_calls, evals = [], []
     monkeypatch.setattr(dimension_module, "_basis_at",
@@ -265,41 +272,102 @@ def test_collocation_basis_built_once_per_solve(monkeypatch, alphabet, calls_per
     assert len(basis_calls) == calls_per_solve
 
 
-def test_collocation_chunks_match_single_chunk(monkeypatch):
-    # at 40 nodes the 961 direct digits of {a >= 64} take two chunks and the
-    # 3998 of {3..4000} seven; one chunk of all of them gives the same matrix
-    # to rounding
-    for alphabet in (DigitAlphabet(64, None), DigitAlphabet(3, 4000)):
-        chunked = _CollocationOperator(alphabet, 40).matrix(0.8)
+@pytest.mark.parametrize("lower", [1000, 10**6])
+def test_collocation_basis_points_do_not_grow_with_n(monkeypatch, lower):
+    # a solve of {a >= N} builds basis values for its 128 direct digits and
+    # the tail's Lobatto points only, at any N; summing the digits up to 16N
+    # one by one took about 15001 nodes points per evaluation at N = 1000
+    nodes, points = 20, []
+    monkeypatch.setattr(dimension_module, "_basis_at",
+                        lambda *args: points.append(len(args[2])) or _basis_at(*args))
+    est = transfer_dimension(DigitAlphabet(lower, None), nodes=nodes)
+    assert est.bracket_lo <= est.dim <= est.bracket_hi
+    assert sum(points) <= (128 + 5) * nodes
+
+
+def test_collocation_tail_blocks_match_single_block(monkeypatch):
+    # a finite range's tail digits are walked in blocks of _ASSEMBLY_BLOCK
+    # values a + x: at 40 nodes the 99870 tail digits of {3..100000} take
+    # four blocks, and the 3870 of {3..4000} eight when a block holds 500
+    # digits; one block of all of them gives the same tail sums to rounding,
+    # and the same matrix to rounding in its largest terms (its entries,
+    # at most 0.18, can cancel to 1e-3)
+    for alphabet, block in ((DigitAlphabet(3, 100_000), None), (DigitAlphabet(3, 4000), 40 * 500)):
+        op = _CollocationOperator(alphabet, 40)
+        if block is not None:
+            monkeypatch.setattr(dimension_module, "_ASSEMBLY_BLOCK", block)
+        chunked = op._tail_sums(0.8), op.matrix(0.8)
         monkeypatch.setattr(dimension_module, "_ASSEMBLY_BLOCK", 1 << 40)
-        single = _CollocationOperator(alphabet, 40).matrix(0.8)
+        single = op._tail_sums(0.8), op.matrix(0.8)
         monkeypatch.undo()
-        assert np.allclose(chunked, single, rtol=1e-13, atol=0.0)
+        assert np.allclose(chunked[0], single[0], rtol=1e-13, atol=0.0)
+        assert np.allclose(chunked[1], single[1], rtol=0.0, atol=1e-14)
 
 
-def collocation_root(monkeypatch, n, nodes, ratio):
-    """transfer_dimension's root for {a >= n}, with the direct sum taken to
-    ratio * n."""
-    with monkeypatch.context() as patch:
-        patch.setattr(dimension_module, "_DIRECT_RATIO", ratio)
-        op = _CollocationOperator(DigitAlphabet(n, None), nodes)
-    crude = (crude_critical_exponent(n, 1), crude_critical_exponent(n, 0))
-    return _pressure_root(op, crude, 1e-10)[0]
+class DirectCollocationOracle:
+    """The collocation matrix of an alphabet with every digit up to
+    ``direct_hi`` summed one by one, from basis values built at each
+    evaluation in blocks of 64 digits, and for an infinite range the rest
+    through a degree-4 interpolant on [0, 1/(direct_hi + 1)] summed against
+    scipy's Hurwitz zeta."""
+
+    def __init__(self, alphabet, nodes, direct_hi=None):
+        self.alphabet = alphabet
+        self.x, self.bw = _lobatto_nodes(nodes, alphabet.domain), _bary_weights(nodes)
+        self.direct_hi = alphabet.upper if direct_hi is None else direct_hi
+        if alphabet.infinite:
+            self.eps = 1.0 / (self.direct_hi + 1.0)
+            t = _lobatto_nodes(5, 1.0)
+            self.coef = np.linalg.solve(np.vander(t, increasing=True),
+                                        _basis_at(self.x, self.bw, self.eps * t))
+
+    def matrix(self, s):
+        k = len(self.x)
+        out = np.zeros((k, k))
+        for start in range(self.alphabet.lower, self.direct_hi + 1, 64):
+            a = np.arange(start, min(start + 64, self.direct_hi + 1), dtype=float)
+            denom = self.x[:, None] + a[None, :]
+            basis = _basis_at(self.x, self.bw, (1.0 / denom).ravel()).reshape(k, len(a), k)
+            out += np.einsum("kc,kcj->kj", denom ** (-2.0 * s), basis)
+        if self.alphabet.infinite:
+            for m in range(5):
+                zet = hurwitz_zeta(2.0 * s + m, self.direct_hi + 1.0 + self.x)
+                out += np.outer(zet * self.eps ** -m, self.coef[m])
+        return out
+
+
+def oracle_root(alphabet, nodes, direct_hi=None):
+    oracle = DirectCollocationOracle(alphabet, nodes, direct_hi)
+    crude = dimension_module._crude_bracket(alphabet, 1e-10)
+    return _pressure_root(oracle, crude, 1e-10)[0]
 
 
 @pytest.mark.parametrize("n, nodes", [(2, 12), (3, 12), (5, 12), (2, 20), (3, 20),
                                       (5, 20), (2, 40), (2, 64), (5, 64), (2, 80),
                                       (5, 80), (2, 100), (5, 100)])
 def test_collocation_cutoff_matches_far_reference(monkeypatch, n, nodes):
-    # the zeta tail after 16N direct digits gives the root of a direct sum
-    # to 1024N within 5e-15 at any node count, as its coefficients come from
-    # basis values on [0, 1/(16N + 1)], which stay bounded; after 4N it is
-    # off by 4e-13 at N = 2
-    ref = collocation_root(monkeypatch, n, nodes, 1024)
+    # the tail after 128 direct digits gives the root of a direct sum to
+    # 1024N within 5e-15 at any node count, as its coefficients come from
+    # basis values on [0, 1/(N + 128)], which stay bounded; after 8 direct
+    # digits it is off by more than that at N = 2
+    ref = oracle_root(DigitAlphabet(n, None), nodes, 1024 * n)
     assert transfer_dimension(DigitAlphabet(n, None), nodes=nodes).dim == pytest.approx(
         ref, abs=5e-15)
     if n == 2:
-        assert abs(collocation_root(monkeypatch, n, nodes, 4) - ref) > 5e-15
+        monkeypatch.setattr(dimension_module, "_DIRECT_DIGITS", 8)
+        assert abs(transfer_dimension(DigitAlphabet(n, None), nodes=nodes).dim - ref) > 5e-15
+
+
+@pytest.mark.parametrize("nodes", [12, 20, 40])
+@pytest.mark.parametrize("lower, upper", [(1, 200), (2, 1000), (3, 4000), (10, 500),
+                                          (100, 1000)])
+def test_wide_finite_range_matches_all_direct_root(lower, upper, nodes):
+    # the digits past the first 128 of a finite range go through the tail
+    # polynomial, summed digit by digit; the root stays within 1e-15 of the
+    # one that sums every digit through its basis values
+    alphabet = DigitAlphabet(lower, upper)
+    assert transfer_dimension(alphabet, nodes=nodes).dim == pytest.approx(
+        oracle_root(alphabet, nodes), abs=1e-15)
 
 
 def basis_oracle(nodes, bw, u):
