@@ -26,11 +26,15 @@ Three routes are implemented and cross-checked against each other:
 * ``ulam_dimension`` repeats the computation on a uniform grid of bins
   (bin-center collocation), purely as an independent oracle.  Digits a with
   a(a + 1) <= lower * bins take one gather entry per row; the rest land in a
-  dense head block of ~sqrt(lower * bins) columns, summed for an infinite
-  range by exact Hurwitz zeta differences, which keeps the full tail.  A
-  finite range is a Cantor set, and its matrix is built only on its kept
-  bins, those its maps keep reaching from the whole domain (at 1024 bins a
-  median 7 % of them over the benchmark's finite sets, 2 for {15, 16}).
+  head block of ~sqrt(lower * bins) columns.  For an infinite range the head
+  is Hurwitz zeta differences between bin boundaries, which keep the full
+  tail, held as Taylor series in the row's offset from the row centre: J
+  zeta values per column at each s (J from the grid: 10 at N = 2 and 4 at
+  N = 200 on 1024 bins) and no (rows, columns) array.  A finite range
+  scatters its head digits into a dense block.  It is a Cantor set, and its
+  matrix is built only on its kept bins, those its maps keep reaching from
+  the whole domain (at 1024 bins a median 7 % of them over the benchmark's
+  finite sets, 2 for {15, 16}).
   Kept rows reach only kept bins, and the dropped bins' block is nilpotent,
   so the kept block has every nonzero eigenvalue of the full matrix; its
   leading one differs only by rounding.  An infinite range keeps every bin.
@@ -47,7 +51,7 @@ of them (about 5 on average).  The reported residual |lambda(root) - 1|
 comes from the evaluation at the root.
 
 All three routes take their Hurwitz zeta values from ``hurwitz_zeta``, a
-direct sum plus an Euler-Maclaurin tail in numpy (scalar or array q).
+direct sum plus an Euler-Maclaurin tail in numpy (scalar or array x and q).
 
 Gap constants enter the underlying cover sums only as fixed per-level
 factors; their k-th roots tend to 1, so they cannot move critical exponents
@@ -79,22 +83,34 @@ _POWER_MAX_ITER = 200_000
 
 
 def hurwitz_zeta(x, q):
-    """Hurwitz zeta(x, q) = sum_{k >= 0} (k + q)^{-x} for a real x > 1 and
-    q > 0, a float or an array (elementwise).
+    """Hurwitz zeta(x, q) = sum_{k >= 0} (k + q)^{-x} for real x > 1 and
+    q > 0, each a float or an array; arrays are broadcast against each
+    other and taken elementwise.
 
     The terms with q + k < 24 are summed directly; the rest is the
     Euler-Maclaurin sum at the first q' = q + k >= 24,
     q'^{-x} (q'/(x-1) + 1/2 + sum_{j=1..8} B_2j/(2j)! x(x+1)...(x+2j-2) q'^{1-2j}),
     whose first omitted term is below 1e-16 of the value for x <= 12.  A
-    scalar q, Python or numpy, returns a float; both run the same operations.
+    scalar x and q, Python or numpy, return a float.  Arrays run the same
+    operations per element, so a stack of x against an array q gives the
+    bits of one call per x.
     """
-    x = float(x)
-    if not (x > 1.0 and math.isfinite(x)):
-        raise ValueError(f"hurwitz_zeta needs a finite x > 1, got {x}")
-    if np.ndim(q) == 0:
+    # np.ndim of a Python float costs a microsecond, and the crude exponents
+    # make a dozen scalar calls per solve
+    scalar_x = isinstance(x, float) or np.ndim(x) == 0
+    if scalar_x:
+        x = float(x)
+        good_x = x > 1.0 and math.isfinite(x)
+    else:
+        x = np.asarray(x, dtype=float)
+        good_x = bool(np.all((x > 1.0) & np.isfinite(x)))
+    if not good_x:
+        raise ValueError(f"hurwitz_zeta needs every x finite and > 1, got {x}")
+    if scalar_x and np.ndim(q) == 0:
         q = lo = hi = float(q)
     else:
-        q = np.array(q, dtype=float)
+        q = np.array(np.broadcast_to(q, np.broadcast_shapes(np.shape(x), np.shape(q))),
+                     dtype=float)
         lo, hi = q.min(initial=_EM_START), q.max(initial=_EM_START)
     if not (lo > 0.0 and hi < math.inf):
         raise ValueError(f"hurwitz_zeta needs every q finite and > 0, got min {lo}, max {hi}")
@@ -108,10 +124,9 @@ def hurwitz_zeta(x, q):
     coeffs, rising = [], x
     for c, u, v in _EM_TERMS:
         coeffs.append(c * rising)
-        rising *= (x + u) * (x + v)
+        rising = rising * ((x + u) * (x + v))  # not in place: rising starts as x
     coeffs.reverse()
-    # augmented steps, in place on arrays: the Ulam tail passes a
-    # (boundaries x bins) grid
+    # augmented steps, in place on arrays
     r2 = 1.0 / q
     r2 *= r2
     h = r2 * coeffs[0]
@@ -256,7 +271,14 @@ def _digit_blocks(x, lo, hi, entries):
 
 
 _TAIL_ORDER = 5  # polynomial terms of the interpolant used for the tail
-_ASSEMBLY_BLOCK = 1 << 20  # values a + x per block of a long digit walk
+_ASSEMBLY_BLOCK = 1 << 20  # values a + x per block of a crude exponent's digit walk
+# values per block of the other digit walks: a + x of a collocation tail,
+# (digit, bin) pairs of a finite Ulam head scatter or of its kept-bins count
+# (512 KB a temporary).  On the benchmark's Ulam solves 2^14, 2^16 and 2^18
+# ran equally fast, with 9.4k, 23k and 47k minor page faults; a collocation
+# tail walk of {3..10^6} at 20 nodes took 135-138 ms per evaluation against
+# 194-223 ms at 2^20, and peaked at 1.6 MB instead of 25.6 MB.
+_SCATTER_BLOCK = 1 << 16
 _DIRECT_DIGITS = 128  # the first digits of any range, summed one by one
 
 
@@ -297,10 +319,9 @@ class _CollocationOperator:
         _TAIL_ORDER: Hurwitz zeta values for an infinite range, a walk over
         the digits for a finite one."""
         if self.alphabet.infinite:
-            return np.array([hurwitz_zeta(2.0 * s + m, self.tail_lo + self.x)
-                             for m in range(_TAIL_ORDER)])
+            return hurwitz_zeta(2.0 * s + np.arange(_TAIL_ORDER)[:, None], self.tail_lo + self.x)
         sums = np.zeros((_TAIL_ORDER, len(self.x)))
-        for ax in _digit_blocks(self.x, self.tail_lo, self.alphabet.upper, _ASSEMBLY_BLOCK):
+        for ax in _digit_blocks(self.x, self.tail_lo, self.alphabet.upper, _SCATTER_BLOCK):
             term = ax ** (-2.0 * s)
             np.divide(1.0, ax, out=ax)
             for m in range(_TAIL_ORDER):
@@ -313,20 +334,20 @@ class _CollocationOperator:
 # piecewise-constant (Ulam-type) discretization
 # ---------------------------------------------------------------------------
 
-# (digit, bin) pairs of a finite head scatter, or zeta values of an infinite
-# head, per block (512 KB a temporary).  On the benchmark's Ulam solves 2^14,
-# 2^16 and 2^18 ran equally fast, with 9.4k, 23k and 47k minor page faults.
-_SCATTER_BLOCK = 1 << 16
+# an infinite head's Taylor series stops where its first omitted term falls
+# below this share of the value
+_TAYLOR_TOL = 2.0 ** -60
 
 
 class _UlamMatrix:
     """An Ulam matrix on the operator's bins: per gather digit a weight in
     every row and the runs (column, length) of its target columns, plus a
-    dense head block."""
+    head block on the first columns, a dense array for a finite range and a
+    ``_ZetaHead`` for an infinite one."""
 
     def __init__(self, runs, wgt, head):
         self.runs, self.wgt, self.head = runs, wgt, head
-        self.shape = (len(head), len(head))
+        self.shape = (head.shape[0], head.shape[0])
 
     def __matmul__(self, v):
         gathered = np.repeat(v[self.runs[0]], self.runs[1]).reshape(self.wgt.shape)
@@ -336,13 +357,104 @@ class _UlamMatrix:
         return out
 
 
+class _ZetaHead:
+    """The head block of {a >= N} at one s, held as Taylor coefficients in the
+    row offset t = x - x0 from the row centre x0, with no (rows, columns)
+    array.
+
+    Column k - 1 is Z_k - Z_{k-1}, where Z_k(x) sums (a + x)^{-2s} over the
+    head digits a >= m_k(x) = max(floor(1/(k w) - x) + 1, head_lo), a zeta
+    value per boundary k (Z_0 = 0).  The rows span less than 1/N <= 1, so
+    m_k is an integer M_k up to a row r_k and M_k - 1 from r_k on, and
+
+        Z_k(x0 + t) = zeta(2s, M_k + x0 + t) + [row >= r_k] (M_k - 1 + x0 + t)^{-2s}.
+
+    Both terms are Taylor series in t with radius at least head_lo - 1 + x0,
+    and the coefficient of t^j is (-1)^j binom(2s + j - 1, j) times
+    zeta(2s + j, M_k + x0), or (M_k - 1 + x0)^{-2s-j}, a binomial below
+    (j + 1)^3 for 2s <= 4.  So the first ``order`` powers, the least J with
+    (max|t| / (head_lo - 1 + x0))^J (J + 1)^3 < 2^-60, leave out less than
+    2^-60 of each value: J is 10 at N = 2 and 4 at N = 200 on 1024 bins.
+    That bound also scales each order's rounding, so the orders whose zeta
+    values ``hurwitz_zeta`` takes at 2s + j > 12, a little less accurately,
+    add under 1e-16 of the value.
+
+    M_k, r_k and the powers of t are built once; ``at(s)`` takes J zeta
+    values per boundary, differenced per column at the coefficient level,
+    and the coefficients of the switching digits' terms.  A product sums the
+    coefficient rows against v, adds the switching terms as one cumulative
+    sum over the boundaries ordered by r_k (row i takes those with
+    r_k <= i), and sums the J rows against the powers of t."""
+
+    def __init__(self, x, w, lo, cols):
+        b = len(x)
+        self.shape = (b, cols)
+        x0 = 0.5 * (x[0] + x[-1])
+        inv_kw = 1.0 / (np.arange(1, cols + 1, dtype=float) * w)
+
+        def first_digit(rows):
+            """m_k at one row per boundary."""
+            return np.maximum(np.floor(inv_kw - x[rows]) + 1.0, lo)
+
+        m = first_digit(0)
+        # r_k by bisection, as m_k falls with x: rows below first keep M_k,
+        # rows from past on have M_k - 1
+        first, past = np.zeros(cols, dtype=np.intp), np.full(cols, b)
+        while (open_ := first < past).any():
+            mid = np.minimum((first + past) // 2, b - 1)
+            falls = first_digit(mid) < m
+            past = np.where(open_ & falls, mid, past)
+            first = np.where(open_ & ~falls, mid + 1, first)
+        reach = (x0 - x[0]) / (lo - 1.0 + x0)
+        order = 1
+        while reach ** order * (order + 1) ** 3 >= _TAYLOR_TOL:
+            order += 1
+        self.j = np.arange(order, dtype=float)
+        self.tpow = (x - x0) ** self.j[:, None]  # (order, rows)
+        self.q = m + x0
+        # the boundaries that switch, in the order of their rows r_k; the last
+        # boundary is clamped to head_lo at every row, so it never switches,
+        # and each step has a next column
+        steps = np.flatnonzero(first < b)
+        steps = steps[np.argsort(first[steps], kind="stable")]
+        self.steps, self.step_q = steps, m[steps] - 1.0 + x0
+        # the rows of each stair: row i takes the steps with r_k <= i
+        self.stair_rows = np.diff(first[steps], prepend=0, append=b)
+        self.stair = np.zeros((order, len(steps) + 1))  # column 0: rows before any step
+        self.coef = self.step_coef = None  # refilled at each s
+
+    def at(self, s):
+        """The head at s, valid until the next call."""
+        sigma, j = 2.0 * s, self.j
+        # (-1)^j binom(2s + j - 1, j)
+        binom = np.cumprod(np.concatenate(([1.0], -(sigma + j[:-1]) / j[1:])))[:, None]
+        coef = hurwitz_zeta(sigma + j[:, None], self.q)
+        coef *= binom
+        self.coef = np.diff(coef, axis=1, prepend=0.0)
+        self.step_coef = self.step_q ** -(sigma + j[:, None])
+        self.step_coef *= binom
+        return self
+
+    def __matmul__(self, v):
+        # boundary k's step (at steps[i] = k - 1) adds to column k - 1 and
+        # takes from column k
+        u = v[self.steps]
+        u -= v[self.steps + 1]
+        stair = self.stair
+        np.cumsum(self.step_coef * u, axis=1, out=stair[:, 1:])
+        stair[:, 0] = 0.0
+        stair += (self.coef @ v)[:, None]
+        return np.einsum("ji,ji->i", np.repeat(stair, self.stair_rows, axis=1), self.tpow)
+
+
 class _UlamOperator:
     """The Ulam matrix at any s: the digits with a(a + 1) <= lower * bins are
     gathered, the rest fill the head.  A finite range keeps only the bins its
     maps keep reaching (``_kept_bins``): ``x`` holds their centers and ``pos``
     maps a bin to its place among them; an infinite range keeps every bin and
-    has no ``pos``.  The gather digits' target columns and a + x do not depend
-    on s, so they are built once, here."""
+    has no ``pos``.  The gather digits' target columns and a + x, and an
+    infinite range's ``_ZetaHead`` geometry, do not depend on s, so they are
+    built once, here; a finite range's dense head is filled at each s."""
 
     def __init__(self, alphabet: DigitAlphabet, bins: int):
         if bins < 64:
@@ -364,6 +476,9 @@ class _UlamOperator:
             x = x[kept]
             head_cols = int(np.count_nonzero(kept[:head_cols]))
         self.x, self.head_cols = x, head_cols
+        # the head: a dense block per s for a finite range, filled at its first
+        # evaluation, Taylor coefficients for an infinite one
+        self.head = _ZetaHead(x, self.w, self.head_lo, head_cols) if alphabet.infinite else None
         # a + x per gather digit (a row each); a digit's column moves every ~a^2 rows
         self.ax = np.arange(alphabet.lower, top + 1, dtype=float)[:, None] + x
         col = self._columns(self.ax).ravel()
@@ -372,7 +487,7 @@ class _UlamOperator:
             np.take(self.pos, col, out=col, mode="clip")
         starts = np.flatnonzero(np.diff(col, prepend=-1))
         self.runs = col[starts], np.diff(starts, append=col.size)
-        self.wgt, self.head = np.empty_like(self.ax), None  # refilled at each s
+        self.wgt = np.empty_like(self.ax)  # refilled at each s
 
     def _gather_top(self):
         """The last gather digit: the largest a with a(a + 1) <= lower * bins."""
@@ -431,30 +546,20 @@ class _UlamOperator:
         return _UlamMatrix(self.runs, self.wgt, self._head(s))
 
     def _head(self, s):
-        b, x, lo = len(self.x), self.x, self.head_lo
+        if self.alphabet.infinite:
+            return self.head.at(s)
+        b, x = len(self.x), self.x
         if self.head is None:  # made by the first evaluation, when the solve needs it
             self.head = np.empty((b, self.head_cols))
         head = self.head
-        if not self.alphabet.infinite:
-            head.fill(0.0)
-            row_start = self.head_cols * np.arange(b)[:, None]
-            for ax in _digit_blocks(x, lo, self.alphabet.upper, _SCATTER_BLOCK):
-                cols = self._columns(ax)
-                np.take(self.pos, cols, out=cols, mode="clip")
-                cols += row_start
-                # unbuffered, in digit order per cell, as a loop over digits would add
-                np.add.at(head.ravel(), cols.ravel(), (ax ** (-2.0 * s)).ravel())
-            return head
-        # Z_k, the sum of (a + x)^{-2s} over the head digits a > 1/(k w) - x (a
-        # zeta series; the root search keeps 2s > 1), takes one value per bin
-        # boundary k; column k is Z_{k+1} - Z_k with Z_0 = 0, exactly 0 where no
-        # digit lands, as both boundaries then clamp alike
-        inv_kw = 1.0 / (np.arange(1, self.head_cols + 1, dtype=float) * self.w)
-        rows = max(1, _SCATTER_BLOCK // self.head_cols)
-        for r in range(0, b, rows):
-            xr = x[r:r + rows, None]
-            z = hurwitz_zeta(2.0 * s, np.maximum(np.floor(inv_kw - xr) + 1.0, lo) + xr)
-            head[r:r + rows] = np.diff(z, axis=1, prepend=0.0)
+        head.fill(0.0)
+        row_start = self.head_cols * np.arange(b)[:, None]
+        for ax in _digit_blocks(x, self.head_lo, self.alphabet.upper, _SCATTER_BLOCK):
+            cols = self._columns(ax)
+            np.take(self.pos, cols, out=cols, mode="clip")
+            cols += row_start
+            # unbuffered, in digit order per cell, as a loop over digits would add
+            np.add.at(head.ravel(), cols.ravel(), (ax ** (-2.0 * s)).ravel())
         return head
 
 

@@ -430,6 +430,19 @@ def test_readme_dim_fn_values_pinned(tmp_path):
             assert abs(float(got) - want) <= 1e-14
 
 
+# the ulam_estimate column of README `dim-fn 2,5,10,100 --ulam` (4096 bins)
+README_DIM_FN_ULAM = {2: 0.84088458553555834, 5: 0.74044408975877973,
+                      10: 0.70150182652041082, 100: 0.63907825095034065}
+
+
+def test_readme_dim_fn_ulam_column_pinned(tmp_path):
+    assert main(["dim-fn", "2,5,10,100", "--ulam", "--out", str(tmp_path)]) == 0
+    header, rows = parse_csv((tmp_path / "dim_fn.csv").read_text())
+    assert header[-1] == "ulam_estimate"
+    assert {int(r[0]): float(r[-1]) for r in rows} == pytest.approx(README_DIM_FN_ULAM,
+                                                                   rel=0.0, abs=1e-12)
+
+
 # the same columns of two more README commands, whose direct digit counts
 # differ most between summing the digits up to 16N and summing 128: the
 # sweep's N = 1000 row, and `dim-fn 2,100 --nodes 100`

@@ -86,10 +86,29 @@ def test_hurwitz_zeta_numpy_scalar_q():
     assert numpy_bound.dim == plain.dim
 
 
+def test_hurwitz_zeta_stacked_x_matches_one_call_per_x():
+    # an array x broadcast against an array q gives, per x, the bits of a
+    # call with that x alone, for q below and above the direct-sum cutoff at
+    # 24: the collocation tail and the Ulam head take all their orders in
+    # one call
+    kernel = dimension_module.hurwitz_zeta
+    rng = np.random.default_rng(11)
+    for lo in (1.0, 24.0, 1000.0) * 10:
+        x = rng.uniform(1.0 + 1e-9, 20.0, rng.integers(1, 12))
+        q = rng.uniform(lo, 100.0 * lo, rng.integers(1, 40))
+        stacked = kernel(x[:, None], q)
+        assert stacked.shape == (len(x), len(q))
+        for row, one in zip(stacked, x):
+            assert np.array_equal(row, kernel(one, q))
+    assert kernel(np.array([2.0, 3.0]), 1.0) == pytest.approx([np.pi ** 2 / 6, 1.2020569031595942],
+                                                             rel=1e-14)
+
+
 @pytest.mark.parametrize("x, q", [
     (1.0, 2.0), (0.5, 2.0), (float("nan"), 2.0), (float("inf"), 2.0),
     (2.0, 0.0), (2.0, -1.0), (2.0, float("nan")), (2.0, float("inf")),
     (2.0, np.array([3.0, 0.0])), (2.0, np.array([[3.0], [float("nan")]])),
+    (np.array([2.0, 1.0]), 2.0), (np.array([[2.0], [float("inf")]]), np.array([3.0, 4.0])),
 ])
 def test_hurwitz_zeta_rejects_bad_arguments(x, q):
     with pytest.raises(ValueError):
@@ -224,9 +243,9 @@ def test_collocation_assembly_memory_bounded():
         finally:
             tracemalloc.stop()
         assert op.basis.shape[1] <= 128
-        # a finite range's tail walk adds its two block arrays, 2 x 2.0 MB for {3..4000}
-        walk = 0 if alphabet.infinite else 2 * 8 * 64 * (alphabet.upper - alphabet.lower - 127)
-        assert peak < 8e6 + walk
+        # a finite range's tail walk adds two blocks of _SCATTER_BLOCK values,
+        # 1 MB however wide the range is (6.0 MB in all for {3..4000})
+        assert peak < 8e6
 
 
 @pytest.mark.parametrize("make, kind", [
@@ -250,7 +269,12 @@ def test_operator_geometry_is_not_changed_by_an_evaluation(make, kind):
     def as_bytes(m):
         if isinstance(m, np.ndarray):
             return m.tobytes()
-        return b"".join(a.tobytes() for a in (*m.runs, m.wgt, m.head))
+        # an infinite head is read through every array it holds, and a
+        # product, which runs through its stair buffer
+        head = [m.head] if isinstance(m.head, np.ndarray) else [
+            a for _, a in sorted(vars(m.head).items()) if isinstance(a, np.ndarray)]
+        product = m @ np.linspace(0.5, 1.5, m.shape[1])
+        return b"".join(a.tobytes() for a in (*m.runs, m.wgt, *head, product))
 
     for s in (0.6, 0.9, 0.6):
         assert as_bytes(op.matrix(s)) == as_bytes(make().matrix(s))
@@ -286,18 +310,18 @@ def test_collocation_basis_points_do_not_grow_with_n(monkeypatch, lower):
 
 
 def test_collocation_tail_blocks_match_single_block(monkeypatch):
-    # a finite range's tail digits are walked in blocks of _ASSEMBLY_BLOCK
+    # a finite range's tail digits are walked in blocks of _SCATTER_BLOCK
     # values a + x: at 40 nodes the 99870 tail digits of {3..100000} take
-    # four blocks, and the 3870 of {3..4000} eight when a block holds 500
-    # digits; one block of all of them gives the same tail sums to rounding,
-    # and the same matrix to rounding in its largest terms (its entries,
-    # at most 0.18, can cancel to 1e-3)
+    # 61 blocks of 1638 digits, and the 3870 of {3..4000} eight when a block
+    # holds 500 digits; one block of all of them gives the same tail sums to
+    # rounding, and the same matrix to rounding in its largest terms (its
+    # entries, at most 0.18, can cancel to 1e-3)
     for alphabet, block in ((DigitAlphabet(3, 100_000), None), (DigitAlphabet(3, 4000), 40 * 500)):
         op = _CollocationOperator(alphabet, 40)
         if block is not None:
-            monkeypatch.setattr(dimension_module, "_ASSEMBLY_BLOCK", block)
+            monkeypatch.setattr(dimension_module, "_SCATTER_BLOCK", block)
         chunked = op._tail_sums(0.8), op.matrix(0.8)
-        monkeypatch.setattr(dimension_module, "_ASSEMBLY_BLOCK", 1 << 40)
+        monkeypatch.setattr(dimension_module, "_SCATTER_BLOCK", 1 << 40)
         single = op._tail_sums(0.8), op.matrix(0.8)
         monkeypatch.undo()
         assert np.allclose(chunked[0], single[0], rtol=1e-13, atol=0.0)
@@ -412,54 +436,81 @@ def ulam_direct_oracle(op, s, lo, hi):
     return mat
 
 
-def ulam_dense(m):
-    """The bins x bins matrix of matrix(s): the gather entries added per cell
-    in digit order, then the head block."""
+def ulam_gathered(m):
+    """The gather part of matrix(s) as a bins x bins matrix, its entries
+    added per cell in digit order."""
     dense = np.zeros(m.shape)
     rows = np.broadcast_to(np.arange(m.shape[0]), m.wgt.shape)
     cols = np.repeat(*m.runs).reshape(m.wgt.shape)  # (digits, bins) targets
     np.add.at(dense, (rows, cols), m.wgt)  # digit by digit
-    dense[:, :m.head.shape[1]] += m.head
+    return dense
+
+
+def ulam_head(m):
+    """The head block of matrix(s): a finite range's array, or an infinite
+    range's head applied to each unit vector."""
+    if isinstance(m.head, np.ndarray):
+        return m.head
+    return np.column_stack([m.head @ e for e in np.eye(m.head.shape[1])])
+
+
+def ulam_dense(m):
+    """The bins x bins matrix of matrix(s): the gather entries added per cell
+    in digit order, then the head block."""
+    dense = ulam_gathered(m)
+    dense[:, :m.head.shape[1]] += ulam_head(m)
     return dense
 
 
 def ulam_split_oracle(op, s):
-    """The Ulam matrix at the operator's split: the gather digits one at a
-    time, plus, summed on their own, the head digits one at a time (finite
-    ranges) or two zeta values per cell from op.head_lo on (infinite)."""
+    """The Ulam matrix of a finite range at the operator's split: the gather
+    digits one at a time, plus, summed on their own, the head digits one at
+    a time."""
     a = op.alphabet
-    gathered = ulam_direct_oracle(op, s, a.lower, op.head_lo - 1)
-    if a.infinite:
-        return gathered + ulam_zeta_oracle(op, s, op.head_lo)
-    return gathered + ulam_direct_oracle(op, s, op.head_lo, a.upper)
+    return (ulam_direct_oracle(op, s, a.lower, op.head_lo - 1)
+            + ulam_direct_oracle(op, s, op.head_lo, a.upper))
+
+
+def assert_direct_digits_match_loop(op, s):
+    """matrix(s) with the zeta tail switched off holds the direct digits,
+    the same terms summed per cell in the same digit order as one digit at a
+    time: for a finite range the gather digits and a head scattered digit by
+    digit, for an infinite range the gather digits (its head, Taylor
+    coefficients, is checked against the two-sided oracle)."""
+    m = op.matrix(s)
+    if op.alphabet.infinite:
+        ref = ulam_direct_oracle(op, s, op.alphabet.lower, op.head_lo - 1)
+        assert np.array_equal(ulam_gathered(m), ref)
+    else:
+        assert np.array_equal(ulam_dense(m), ulam_split_oracle(op, s))
+
+
+@pytest.fixture
+def no_zeta(monkeypatch):
+    monkeypatch.setattr(dimension_module, "hurwitz_zeta", lambda s2, q: 0.0 * (s2 + q))
 
 
 @pytest.mark.parametrize("alphabet, bins", [
     (DigitAlphabet(2, None), 128), (DigitAlphabet(13, None), 256),
     (DigitAlphabet(1, 61), 256), (DigitAlphabet(3, 40), 128)])
-def test_ulam_direct_digits_match_loop(monkeypatch, alphabet, bins):
-    # with the zeta tail switched off, matrix(s) holds the direct digits: the
-    # gather digits and, for the finite ranges here, which pass the split,
-    # a head scattered digit by digit
-    monkeypatch.setattr(dimension_module, "hurwitz_zeta", lambda s2, q: 0.0 * q)
+def test_ulam_direct_digits_match_loop(no_zeta, alphabet, bins):
+    # the finite ranges here pass the split, so they have a head
     op = _UlamOperator(alphabet, bins)
     assert len(op.ax) > 0 and op.head_cols > 0
     for s in (-0.5, 0.6, 0.95):
         if alphabet.infinite and s < 0.5:
             continue
-        # the same terms, summed per cell in the same digit order
-        assert np.array_equal(ulam_dense(op.matrix(s)), ulam_split_oracle(op, s))
+        assert_direct_digits_match_loop(op, s)
 
 
-def test_ulam_direct_digits_match_loop_across_blocks(monkeypatch):
-    # blocks of one digit, or of one row of zeta values: every head cell of
-    # the finite range is summed over several blocks, and the infinite head
-    # is filled one row at a time
+def test_ulam_direct_digits_match_loop_across_blocks(no_zeta, monkeypatch):
+    # blocks of one digit: every head cell of the finite range is summed
+    # over several blocks
     monkeypatch.setattr(dimension_module, "_SCATTER_BLOCK", 1)
     for alphabet in (DigitAlphabet(5, None), DigitAlphabet(2, 30)):
         op = _UlamOperator(alphabet, 128)
         assert op.head_cols > 0
-        assert np.array_equal(ulam_dense(op.matrix(0.8)), ulam_split_oracle(op, 0.8))
+        assert_direct_digits_match_loop(op, 0.8)
 
 
 @pytest.mark.parametrize("alphabet, bins", [
@@ -503,13 +554,12 @@ def test_ulam_gather_and_head_roots_agree_at_the_split(monkeypatch):
         assert max(roots) - min(roots) <= 1e-12
 
 
-def ulam_zeta_oracle(op, s, zeta_lo):
+def ulam_zeta_oracle(op, s, zeta_lo, hurwitz_zeta=None):
     """The digits a >= zeta_lo summed per (row, bin) from both ends, zeta(a_lo
     + x) - zeta(a_hi + 1 + x) on the nonempty cells, and bin 0 from a separate
-    call.  Its zeta values come from the library's own kernel, so that the
-    comparison checks the boundary differences bit for bit;
-    test_hurwitz_zeta_matches_scipy checks the kernel."""
-    hurwitz_zeta = dimension_module.hurwitz_zeta
+    call.  Its zeta values come from the library's own kernel unless another
+    is given; test_hurwitz_zeta_matches_scipy checks the kernel."""
+    hurwitz_zeta = hurwitz_zeta or dimension_module.hurwitz_zeta
     b, w, x = op.bins, op.w, op.x
     mat = np.zeros((b, b))
     a_lo0 = np.maximum(np.floor(1.0 / w - x) + 1.0, zeta_lo)
@@ -530,27 +580,40 @@ def ulam_zeta_oracle(op, s, zeta_lo):
 @pytest.mark.parametrize("lower", [2, 13, 200])
 @pytest.mark.parametrize("bins", [128, 1024])
 def test_ulam_tail_matches_two_sided_oracle(lower, bins):
-    # one zeta value per bin boundary and adjacent differences give the
-    # same bits as two zeta values per cell; every tail digit lands in the
-    # head's columns
+    # the Taylor head matches the cells summed by two scipy zeta values per
+    # cell, and every tail digit lands in the head's columns: per row, the
+    # largest error is at most 1.1e-15 of the row's sum over these cases
+    # (measured); the gather part is the one-digit-at-a-time sum, bit for bit
     op = _UlamOperator(DigitAlphabet(lower, None), bins)
     for s in (0.55, 0.7, 0.95):
-        assert np.array_equal(ulam_dense(op.matrix(s)), ulam_split_oracle(op, s))
+        m = op.matrix(s)
+        assert np.array_equal(ulam_gathered(m), ulam_direct_oracle(op, s, lower, op.head_lo - 1))
+        ref = ulam_zeta_oracle(op, s, op.head_lo, hurwitz_zeta)
+        assert not ref[:, op.head_cols:].any()
+        err = np.abs(ulam_head(m) - ref[:, :op.head_cols]).max(axis=1)
+        assert np.all(err <= 4e-15 * ref.sum(axis=1))
 
 
 @pytest.mark.parametrize("lower, bins", [(2, 128), (200, 1024)])
 def test_ulam_tail_one_zeta_value_per_boundary(monkeypatch, lower, bins):
+    # one call per evaluation, of J zeta values per head column and none per
+    # row, J the least order with (max|t| / (head_lo - 1 + x0))^J (J + 1)^3
+    # < 2^-60: 12 at N = 2 on 128 bins, 4 at N = 200 on 1024
     sizes = []
 
     def counting(s2, q):
-        sizes.append(np.size(q))
+        sizes.append(np.broadcast(s2, q).size)
         return hurwitz_zeta(s2, q)
 
     monkeypatch.setattr(dimension_module, "hurwitz_zeta", counting)
     op = _UlamOperator(DigitAlphabet(lower, None), bins)
     head_cols = op.matrix(0.7).head.shape[1]
     assert head_cols == min(int(1.0 / (op.head_lo * op.w)) + 2, bins)
-    assert sum(sizes) == head_cols * bins
+    order = len(op.head.j)
+    assert order == {2: 12, 200: 4}[lower]
+    reach = (0.5 * op.alphabet.domain - op.x[0]) / (op.head_lo - 1 + 0.5 * op.alphabet.domain)
+    assert reach ** order * (order + 1) ** 3 < 2.0 ** -60 <= reach ** (order - 1) * order ** 3
+    assert sizes == [order * head_cols]
 
 
 @pytest.mark.parametrize("alphabet", [DigitAlphabet(2, None), DigitAlphabet(1, 200)])
@@ -592,10 +655,24 @@ def test_ulam_products_match_digit_by_digit_oracle(alphabet, bins):
 
 def test_ulam_memory_does_not_grow_with_n():
     # the operator keeps no per-digit arrays, even at 4096 bins and N = 1e5,
-    # where (digit, bin) pairs would take about 3 GB
-    op = _UlamOperator(DigitAlphabet(100_000, None), 4096)
-    held = sum(v.nbytes for v in vars(op).values() if isinstance(v, np.ndarray))
-    assert held <= 16 * 4096
+    # where (digit, bin) pairs would take about 3 GB, and its head keeps no
+    # (bins, head columns) array after an evaluation, 134 MB there.  It holds
+    # x and the head's first digits (a value per bin at most), its powers of
+    # t and coefficient rows (J <= 3 values per bin each from N = 10^4 on)
+    # and its steps (1 at N = 20,000, 3 at N = 10^5): 262 KB and 197 KB
+    for lower in (20_000, 100_000):
+        op = _UlamOperator(DigitAlphabet(lower, None), 4096)
+        tracemalloc.start()
+        try:
+            op.matrix(0.7) @ np.ones(4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6  # no (bins, head columns) temporary either
+        assert len(op.head.j) <= 3 and len(op.head.steps) <= 8
+        held = sum(v.nbytes for part in (op, op.head) for v in vars(part).values()
+                   if isinstance(v, np.ndarray))
+        assert held <= 12 * 8 * 4096
     # an assembly with 11,000 direct digits (183 MB of pairs) stays within a
     # few dense matrices
     bins = 1024
