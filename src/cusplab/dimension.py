@@ -4,9 +4,9 @@ Three routes are implemented and cross-checked against each other:
 
 * ``crude_critical_exponent`` solves sum_{a=N..M} (a + shift)^{-2s} = 1, the
   critical exponent of an elementary cover sum: by zeta(2s, N + shift) = 1
-  for M = infinity, by the direct sum for a finite M.  On [0, 1/N] the
-  transfer operator satisfies sum (a + 1/N)^{-2s} <= (L_s 1)(x) <=
-  sum a^{-2s} pointwise, so its unit-eigenvalue root is pinned between the
+  for M = infinity, by that sum cut to M - N + 1 terms for a finite M.  On
+  [0, 1/N] the transfer operator satisfies sum (a + 1/N)^{-2s} <= (L_s 1)(x)
+  <= sum a^{-2s} pointwise, so its unit-eigenvalue root is pinned between the
   roots for shift 1/N (1 for {a >= N}) and shift 0.
 * ``transfer_dimension`` solves lambda(s) = 1 for the leading eigenvalue of
   the Gauss-map transfer operator (L_s f)(x) = sum_a (a+x)^{-2s} f(1/(a+x)),
@@ -15,14 +15,14 @@ Three routes are implemented and cross-checked against each other:
   values built once; beyond them the interpolant, rewritten as a degree-4
   polynomial on the tail interval [0, 1/(M + 1)] through its values at 5
   Lobatto points there, needs per node x only the tail sums of
-  (a + x)^{-2s-m}, m = 0..4: Hurwitz zeta values for {a >= N}, so no mass is
-  dropped, and a digit walk of 5 values per node and digit for a finite
-  range.  The basis values on the tail interval are bounded, so the tail's
-  rounding does not grow with the node count; its one error is the degree-4
-  interpolation, which falls like (MN)^-5 M^(1-2s).  The root lies within
-  1.1e-16 of a direct sum to 1024N for {a >= N} (N in {1, 2, 3, 5, 10, 100},
-  12-100 nodes) and within 3.3e-16 of an all-direct sum for finite ranges up
-  to {3..4000} (12-40 nodes); a head of 64 digits leaves {1..100} 3.1e-15 off.
+  (a + x)^{-2s-m}, m = 0..4: Hurwitz zeta values, cut to a finite range's
+  last digit, so no mass is dropped and no cost grows with the width.  The
+  basis values on the tail interval are bounded, so the tail's rounding does
+  not grow with the node count; its one error is the degree-4 interpolation,
+  which falls like (MN)^-5 M^(1-2s).  The root lies within 1.1e-16 of a
+  direct sum to 1024N for {a >= N} (N in {1, 2, 3, 5, 10, 100}, 12-100
+  nodes) and within 3.3e-16 of an all-direct sum for finite ranges up to
+  {3..4000} (12-40 nodes); a head of 64 digits leaves {1..100} 3.1e-15 off.
 * ``ulam_dimension`` repeats the computation on a uniform grid of bins
   (bin-center collocation), purely as an independent oracle.  Digits a with
   a(a + 1) <= lower * bins take one gather entry per row; the rest land in a
@@ -50,8 +50,8 @@ s-dependent part of one assembly and one power iteration; a solve takes 4-8
 of them (about 5 on average).  The reported residual |lambda(root) - 1|
 comes from the evaluation at the root.
 
-All three routes take their Hurwitz zeta values from ``hurwitz_zeta``, a
-direct sum plus an Euler-Maclaurin tail in numpy (scalar or array x and q).
+All three routes take their Hurwitz zeta sums, whole or cut to a count, from
+``hurwitz_zeta``: direct terms plus an Euler-Maclaurin tail, scalar or array.
 
 Gap constants enter the underlying cover sums only as fixed per-level
 factors; their k-th roots tend to 1, so they cannot move critical exponents
@@ -61,6 +61,7 @@ and are omitted here.
 from __future__ import annotations
 
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -82,31 +83,36 @@ _POWER_TOL = 1e-12  # relative move of the Rayleigh quotient that ends power ite
 _POWER_MAX_ITER = 200_000
 
 
-def hurwitz_zeta(x, q):
+def hurwitz_zeta(x, q, count=None):
     """Hurwitz zeta(x, q) = sum_{k >= 0} (k + q)^{-x} for real x > 1 and
     q > 0, each a float or an array; arrays are broadcast against each
-    other and taken elementwise.
+    other and taken elementwise.  An integer ``count`` >= 0 cuts the sum to
+    the terms k < count, for any finite x.
 
     The terms with q + k < 24 are summed directly; the rest is the
-    Euler-Maclaurin sum at the first q' = q + k >= 24,
+    Euler-Maclaurin sum at the first q' = q + k >= 24, T(q') =
     q'^{-x} (q'/(x-1) + 1/2 + sum_{j=1..8} B_2j/(2j)! x(x+1)...(x+2j-2) q'^{1-2j}),
-    whose first omitted term is below 1e-16 of the value for x <= 12.  A
-    scalar x and q, Python or numpy, return a float.  Arrays run the same
-    operations per element, so a stack of x against an array q gives the
-    bits of one call per x.
+    whose first omitted term is below 1e-16 of the value for x <= 12.  The
+    c terms a count leaves at q' sum to T(q') - T(q' + c), the integral terms
+    taken as q'^{1-x} L expm1(u)/u, L = log1p(c/q'), u = (1 - x) L, which
+    does not cancel and holds at x = 1.  A scalar x and q, Python or numpy,
+    return a float.  Arrays run the same operations per element, so a stack
+    of x against an array q gives the bits of one call per x.
     """
-    # np.ndim of a Python float costs a microsecond, and the crude exponents
+    if count is not None and (count := operator.index(count)) < 0:
+        raise ValueError(f"hurwitz_zeta needs a count >= 0, got {count}")
+    # np.ndim of a Python number costs a microsecond, and the crude exponents
     # make a dozen scalar calls per solve
     scalar_x = isinstance(x, float) or np.ndim(x) == 0
     if scalar_x:
         x = float(x)
-        good_x = x > 1.0 and math.isfinite(x)
+        good_x = (count is not None or x > 1.0) and math.isfinite(x)
     else:
         x = np.asarray(x, dtype=float)
-        good_x = bool(np.all((x > 1.0) & np.isfinite(x)))
+        good_x = bool(np.all(((count is not None) | (x > 1.0)) & np.isfinite(x)))
     if not good_x:
-        raise ValueError(f"hurwitz_zeta needs every x finite and > 1, got {x}")
-    if scalar_x and np.ndim(q) == 0:
+        raise ValueError(f"hurwitz_zeta needs every x finite, and > 1 with no count, got {x}")
+    if scalar_x and (isinstance(q, (int, float)) or np.ndim(q) == 0):
         q = lo = hi = float(q)
     else:
         q = np.array(np.broadcast_to(q, np.broadcast_shapes(np.shape(x), np.shape(q))),
@@ -114,30 +120,48 @@ def hurwitz_zeta(x, q):
         lo, hi = q.min(initial=_EM_START), q.max(initial=_EM_START)
     if not (lo > 0.0 and hi < math.inf):
         raise ValueError(f"hurwitz_zeta needs every q finite and > 0, got min {lo}, max {hi}")
-    total = 0.0
-    # enough steps to lift the smallest q to 24; a q already there adds 0
-    for _ in range(math.ceil(_EM_START - lo)):
+    total, left, steps = 0.0, count, math.ceil(_EM_START - lo)
+    # enough steps to lift the smallest q to 24 or to use up the count; a q already there adds 0
+    for _ in range(steps if count is None else min(steps, count)):
         small = q < _EM_START
         total += small * q ** -x
         q += small
+        if count is not None:
+            left -= small
+    if count is not None and count < math.ceil(_EM_START - hi):  # all direct (only a scalar q)
+        return total
     # x(x+1)...(x+2j-2) B_2j/(2j)!, innermost (j = 8) first for Horner's rule
     coeffs, rising = [], x
     for c, u, v in _EM_TERMS:
         coeffs.append(c * rising)
         rising = rising * ((x + u) * (x + v))  # not in place: rising starts as x
     coeffs.reverse()
-    # augmented steps, in place on arrays
-    r2 = 1.0 / q
-    r2 *= r2
-    h = r2 * coeffs[0]
-    for c in coeffs[1:-1]:
-        h += c
-        h *= r2
-    h += coeffs[-1]
-    h /= q
-    h += 0.5
-    h += q / (x - 1.0)
-    h *= q ** -x
+
+    def series(q):  # q^x T(q) - q/(x-1), by augmented steps, in place on arrays
+        r2 = 1.0 / q
+        r2 *= r2
+        h = r2 * coeffs[0]
+        for c in coeffs[1:-1]:
+            h += c
+            h *= r2
+        h += coeffs[-1]
+        h /= q
+        h += 0.5
+        return h
+
+    h = series(q)
+    if count is None:
+        h += q / (x - 1.0)
+        h *= q ** -x
+    else:  # a q still below 24 has no terms left, and both its ends are q
+        end = q + left
+        h *= q ** -x
+        h -= series(end) * end ** -x
+        log1p, expm1 = (math.log1p, math.expm1) if isinstance(q, float) else (np.log1p, np.expm1)
+        span = log1p(left / q)
+        u = (1.0 - x) * span
+        u += (u == 0.0) * 1e-300  # expm1(u)/u is 1 at u = 0; expm1 returns a tiny u itself
+        h += q ** (1.0 - x) * span * (expm1(u) / u)
     h += total
     return h
 
@@ -171,12 +195,15 @@ def power_iteration(mat, v0=None):
 
 @dataclass(frozen=True)
 class DigitAlphabet:
-    """Contiguous digit range {lower, ..., upper}; upper = None means infinite."""
+    """Contiguous digit range {lower, ..., upper} of ints; upper = None means infinite."""
 
     lower: int
     upper: int | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "lower", operator.index(self.lower))
+        if self.upper is not None:
+            object.__setattr__(self, "upper", operator.index(self.upper))
         if self.lower < 1:
             raise ValueError("lower digit bound must be >= 1")
         if self.upper is not None and self.upper < self.lower:
@@ -212,20 +239,9 @@ def crude_critical_exponent(n, shift, tol=1e-10, upper=None):
     if m < 2:
         raise ValueError("no root: the full-alphabet sum always exceeds 1")
     if upper is None:
-        def f(s):
-            return hurwitz_zeta(2.0 * s, m) - 1.0
-        lo, hi = 0.5 + 1e-9, 4.0
-    else:
-        shifted = np.array([shift])
-        # a range that fits one block keeps it for every s
-        kept = (list(_digit_blocks(shifted, n, upper, _ASSEMBLY_BLOCK))
-                if upper - n < _ASSEMBLY_BLOCK else None)
-
-        def f(s):
-            blocks = kept or _digit_blocks(shifted, n, upper, _ASSEMBLY_BLOCK)
-            return math.log(sum(float(np.sum(blk ** (-2.0 * s))) for blk in blocks))
-        lo, hi = 0.0, 2.0
-    return bracketed_root(f, lo, hi, xtol=tol)
+        return bracketed_root(lambda s: hurwitz_zeta(2.0 * s, m) - 1.0, 0.5 + 1e-9, 4.0, xtol=tol)
+    count = upper - n + 1
+    return bracketed_root(lambda s: math.log(hurwitz_zeta(2.0 * s, m, count)), 0.0, 2.0, xtol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -271,13 +287,9 @@ def _digit_blocks(x, lo, hi, entries):
 
 
 _TAIL_ORDER = 5  # polynomial terms of the interpolant used for the tail
-_ASSEMBLY_BLOCK = 1 << 20  # values a + x per block of a crude exponent's digit walk
-# values per block of the other digit walks: a + x of a collocation tail,
-# (digit, bin) pairs of a finite Ulam head scatter or of its kept-bins count
-# (512 KB a temporary).  On the benchmark's Ulam solves 2^14, 2^16 and 2^18
-# ran equally fast, with 9.4k, 23k and 47k minor page faults; a collocation
-# tail walk of {3..10^6} at 20 nodes took 135-138 ms per evaluation against
-# 194-223 ms at 2^20, and peaked at 1.6 MB instead of 25.6 MB.
+# (digit, bin) pairs per block of a finite Ulam head scatter or of its
+# kept-bins count (512 KB a temporary).  On the benchmark's Ulam solves 2^14,
+# 2^16 and 2^18 ran equally fast, with 9.4k, 23k and 47k minor page faults.
 _SCATTER_BLOCK = 1 << 16
 _DIRECT_DIGITS = 128  # the first digits of any range, summed one by one
 
@@ -302,7 +314,8 @@ class _CollocationOperator:
             # the interpolant on the tail interval [0, eps] through its values at
             # _TAIL_ORDER Lobatto points there, as a polynomial sum_m c_m u^m
             # (solved in u/eps, where the Vandermonde matrix is well conditioned)
-            eps, self.tail_lo = 1.0 / (direct_hi + 1.0), direct_hi + 1
+            eps, self.tail_q = 1.0 / (direct_hi + 1.0), direct_hi + 1 + self.x
+            self.tail_count = None if alphabet.infinite else alphabet.upper - direct_hi
             t = _lobatto_nodes(_TAIL_ORDER, 1.0)
             self.coef = np.linalg.solve(np.vander(t, increasing=True),
                                         _basis_at(self.x, bw, eps * t))  # (m, nodes)
@@ -311,23 +324,10 @@ class _CollocationOperator:
     def matrix(self, s):
         out = np.einsum("kc,kcj->kj", self.denom ** (-2.0 * s), self.basis)
         if self.coef is not None:
-            out += self._tail_sums(s).T @ self.coef
+            # (m, node) sums over the tail digits a of (a + x)^{-2s-m}, m < _TAIL_ORDER
+            out += hurwitz_zeta(2.0 * s + np.arange(_TAIL_ORDER)[:, None], self.tail_q,
+                                self.tail_count).T @ self.coef
         return out
-
-    def _tail_sums(self, s):
-        """(m, node) sums over the tail digits a of (a + x)^{-2s-m}, m <
-        _TAIL_ORDER: Hurwitz zeta values for an infinite range, a walk over
-        the digits for a finite one."""
-        if self.alphabet.infinite:
-            return hurwitz_zeta(2.0 * s + np.arange(_TAIL_ORDER)[:, None], self.tail_lo + self.x)
-        sums = np.zeros((_TAIL_ORDER, len(self.x)))
-        for ax in _digit_blocks(self.x, self.tail_lo, self.alphabet.upper, _SCATTER_BLOCK):
-            term = ax ** (-2.0 * s)
-            np.divide(1.0, ax, out=ax)
-            for m in range(_TAIL_ORDER):
-                sums[m] += term.sum(axis=1)
-                term *= ax
-        return sums
 
 
 # ---------------------------------------------------------------------------

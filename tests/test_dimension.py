@@ -2,12 +2,17 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import digamma
 from scipy.special import zeta as hurwitz_zeta
 
 import cusplab.dimension as dimension_module
@@ -115,6 +120,100 @@ def test_hurwitz_zeta_rejects_bad_arguments(x, q):
         dimension_module.hurwitz_zeta(x, q)
 
 
+def relative_error(value, exact):
+    return np.max(np.abs(np.asarray(value) / exact - 1.0))
+
+
+@pytest.mark.parametrize("x", [0.0, 0.3, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1.7, 3.3, 8.0])
+def test_hurwitz_zeta_count_matches_fsum(x):
+    # a finite count against math.fsum of its terms, for q on both sides of
+    # the direct-sum cutoff at 24 and counts that end inside the direct
+    # terms, just past them and far past them, as scalars and as an array
+    kernel = dimension_module.hurwitz_zeta
+    qs = np.array([0.05, 1.0, 1.5, 3.0, 20.5, 23.999, 24.0, 24.5, 700.25, 1e5])
+    for count in (1, 2, 5, 21, 22, 23, 40, 1000, 20_000):
+        exact = np.array([math.fsum((q + np.arange(count)) ** -x) for q in qs])
+        for q, one in zip(qs, exact):
+            value = kernel(x, float(q), count)
+            assert type(value) is float
+            assert relative_error(value, one) <= 1e-14, (q, count)
+        assert relative_error(kernel(x, qs, count), exact) <= 1e-14, count
+
+
+@pytest.mark.parametrize("q", [1.0, 2.5, 24.0, 1000.0])
+def test_hurwitz_zeta_count_at_one_matches_digamma(q):
+    # at x = 1 the sum over k < count is digamma(q + count) - digamma(q),
+    # up to a billion terms
+    kernel = dimension_module.hurwitz_zeta
+    counts = np.array([1000, 12_345, 10**6, 10**7, 10**9])
+    exact = digamma(q + counts) - digamma(q)
+    assert relative_error([kernel(1.0, q, int(c)) for c in counts], exact) <= 1e-14
+    assert relative_error(kernel(np.ones(len(counts)), q, 10**9), exact[-1]) <= 1e-14
+
+
+@pytest.mark.parametrize("x", [1.5, 2.0, 3.3, 8.0])
+def test_hurwitz_zeta_count_matches_scipy_difference(x):
+    # zeta(x, q) - zeta(x, q + count) with count >= q, where the two zeta
+    # values stay apart and their difference keeps its digits
+    kernel = dimension_module.hurwitz_zeta
+    for q in (1.0, 7.5, 24.0, 333.0, 1e6):
+        for ratio in (1, 3, 100, 10**4):
+            count = math.ceil(ratio * q)
+            exact = hurwitz_zeta(x, q) - hurwitz_zeta(x, q + count)
+            assert relative_error(kernel(x, q, count), exact) <= 1e-14, (q, count)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.floats(0.0, 8.0), q=st.floats(0.01, 1e6), first=st.integers(0, 10**6),
+       second=st.integers(0, 10**6))
+def test_hurwitz_zeta_count_splits_additively(x, q, first, second):
+    # the first + second terms are the first terms and the second ones that
+    # follow them; all terms are positive, so the split cannot cancel
+    kernel = dimension_module.hurwitz_zeta
+    whole = kernel(x, q, first + second)
+    parts = kernel(x, q, first) + kernel(x, q + first, second)
+    assert whole == pytest.approx(parts, rel=1e-14, abs=0.0)
+    if x > 1.0:
+        assert kernel(x, q) == pytest.approx(whole + kernel(x, q + first + second),
+                                             rel=1e-14, abs=0.0)
+
+
+def test_hurwitz_zeta_count_edge_cases():
+    # count 0 is an empty sum; a count must be a non-negative integer; a
+    # count takes any finite x, and x = 1 or an exhausted count warns of
+    # nothing (pytest turns a RuntimeWarning into an error)
+    kernel = dimension_module.hurwitz_zeta
+    q = np.array([[0.5, 23.0], [24.0, 1e9]])
+    assert kernel(2.0, 3.0, 0) == 0.0
+    assert np.array_equal(kernel(np.array([0.0, 1.0, 4.0])[:, None, None], q, 0),
+                          np.zeros((3, 2, 2)))
+    assert kernel(1.0, 1.0, 1) == 1.0
+    # a count that ends among the direct terms gives a scalar call the bits
+    # of an array call, which adds Euler-Maclaurin ends that cancel exactly
+    for q0, count in ((1.0, 2), (3.5, 20), (0.05, 23), (22.5, 1)):
+        for x in (0.0, 1.0, 1.7):
+            assert kernel(x, q0, count) == kernel(x, np.array([q0]), count)[0]
+    assert kernel(0.0, 1.5, 10**9) == pytest.approx(1e9, rel=1e-15)
+    assert kernel(-1.0, 1.0, 4) == pytest.approx(10.0, rel=1e-15)
+    assert kernel(np.int64(2), np.float32(3.0), np.int64(2)) == pytest.approx(
+        1 / 9 + 1 / 16, rel=1e-15)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (0.0, 1.0, np.array([1.0, 2.0])[:, None]):
+            for count in (0, 1, 3, 30, 10**9):
+                assert np.all(np.isfinite(kernel(x, q, count)))
+    with pytest.raises(ValueError, match="count >= 0"):
+        kernel(2.0, 3.0, -1)
+    for bad in (2.5, 3.0, "3"):
+        with pytest.raises(TypeError):
+            kernel(2.0, 3.0, bad)
+    for x in (float("nan"), float("inf"), np.array([1.0, float("nan")])):
+        with pytest.raises(ValueError, match="finite"):
+            kernel(x, 3.0, 5)
+    with pytest.raises(ValueError, match="q finite and > 0"):
+        kernel(2.0, 0.0, 5)
+
+
 def test_crude_matches_hurwitz_oracle():
     # independent oracle: bisect zeta(2s, n+shift) = 1 with scipy's Hurwitz zeta
     for n, shift in [(2, 0), (2, 1), (5, 0), (10, 1), (100, 0), (3, 0.5), (7, 1 / 7)]:
@@ -190,6 +289,18 @@ def test_digit_alphabet_rejects_bad_bounds(args, message):
         DigitAlphabet(*args)
 
 
+def test_digit_alphabet_takes_integer_bounds_only():
+    # a float bound is refused when the alphabet is made, not rounded or
+    # left to fail deep in a solve; numpy integers become Python ints
+    for args in ((2.5, None), (1, 2.0), (np.float64(3.0), 5)):
+        with pytest.raises(TypeError, match="integer"):
+            DigitAlphabet(*args)
+    alphabet = DigitAlphabet(np.int64(3), np.int32(40))
+    assert (type(alphabet.lower), type(alphabet.upper)) == (int, int)
+    assert alphabet == DigitAlphabet(3, 40)
+    assert transfer_dimension(alphabet).dim == transfer_dimension(DigitAlphabet(3, 40)).dim
+
+
 def test_discretizations_reject_too_few_points():
     with pytest.raises(ValueError, match="need at least 8 collocation nodes"):
         transfer_dimension(DigitAlphabet(2, None), nodes=7)
@@ -243,8 +354,8 @@ def test_collocation_assembly_memory_bounded():
         finally:
             tracemalloc.stop()
         assert op.basis.shape[1] <= 128
-        # a finite range's tail walk adds two blocks of _SCATTER_BLOCK values,
-        # 1 MB however wide the range is (6.0 MB in all for {3..4000})
+        # a finite range's tail is one zeta call of 5 values per node, as an
+        # infinite range's is, so {3..4000} peaks at the same 4.5 MB
         assert peak < 8e6
 
 
@@ -307,25 +418,6 @@ def test_collocation_basis_points_do_not_grow_with_n(monkeypatch, lower):
     est = transfer_dimension(DigitAlphabet(lower, None), nodes=nodes)
     assert est.bracket_lo <= est.dim <= est.bracket_hi
     assert sum(points) <= (128 + 5) * nodes
-
-
-def test_collocation_tail_blocks_match_single_block(monkeypatch):
-    # a finite range's tail digits are walked in blocks of _SCATTER_BLOCK
-    # values a + x: at 40 nodes the 99870 tail digits of {3..100000} take
-    # 61 blocks of 1638 digits, and the 3870 of {3..4000} eight when a block
-    # holds 500 digits; one block of all of them gives the same tail sums to
-    # rounding, and the same matrix to rounding in its largest terms (its
-    # entries, at most 0.18, can cancel to 1e-3)
-    for alphabet, block in ((DigitAlphabet(3, 100_000), None), (DigitAlphabet(3, 4000), 40 * 500)):
-        op = _CollocationOperator(alphabet, 40)
-        if block is not None:
-            monkeypatch.setattr(dimension_module, "_SCATTER_BLOCK", block)
-        chunked = op._tail_sums(0.8), op.matrix(0.8)
-        monkeypatch.setattr(dimension_module, "_SCATTER_BLOCK", 1 << 40)
-        single = op._tail_sums(0.8), op.matrix(0.8)
-        monkeypatch.undo()
-        assert np.allclose(chunked[0], single[0], rtol=1e-13, atol=0.0)
-        assert np.allclose(chunked[1], single[1], rtol=0.0, atol=1e-14)
 
 
 class DirectCollocationOracle:
@@ -392,6 +484,44 @@ def test_wide_finite_range_matches_all_direct_root(lower, upper, nodes):
     alphabet = DigitAlphabet(lower, upper)
     assert transfer_dimension(alphabet, nodes=nodes).dim == pytest.approx(
         oracle_root(alphabet, nodes), abs=1e-15)
+
+
+def hensley(n):
+    """Hensley's asymptotic dim E_{1..N} = 1 - 6/(pi^2 N) - 72 ln N/(pi^4 N^2)
+    + O(1/N^2) (J. Number Theory 1992), without its O(1/N^2) term."""
+    return 1.0 - 6.0 / (math.pi ** 2 * n) - 72.0 * math.log(n) / (math.pi ** 4 * n ** 2)
+
+
+@pytest.mark.parametrize("nodes", [20, 40])
+def test_wide_finite_ranges_follow_hensley(nodes):
+    # {1..N} against Hensley's asymptotic: the O(1/N^2) remainder, times N^2,
+    # reads 1.011, 1.019 and 1.020 at N = 10^4, 10^5, 10^6, and at N = 10^9
+    # the two agree to rounding; a finite tail costs one zeta call per
+    # evaluation, so even {1..10^9} solves in milliseconds
+    for n in (10**4, 10**5, 10**6):
+        est = transfer_dimension(DigitAlphabet(1, n), nodes=nodes, tol=1e-15)
+        assert 1.00 <= (est.dim - hensley(n)) * n ** 2 <= 1.03, n
+    seconds = []
+    for _ in range(3):
+        start = time.perf_counter()
+        est = transfer_dimension(DigitAlphabet(1, 10**9), nodes=nodes, tol=1e-15)
+        seconds.append(time.perf_counter() - start)
+        assert abs(est.dim - hensley(10**9)) <= 1e-15
+    assert min(seconds) < 0.1, seconds
+
+
+@pytest.mark.parametrize("alphabet", [DigitAlphabet(3, 4000), DigitAlphabet(1, 10**9),
+                                      DigitAlphabet(7, None)])
+def test_collocation_tail_is_one_zeta_call_per_evaluation(monkeypatch, alphabet):
+    # every tail digit of a range, finite or not, goes through one
+    # hurwitz_zeta call of 5 values per node at each s
+    nodes, sizes = 20, []
+    op = _CollocationOperator(alphabet, nodes)
+    kernel = dimension_module.hurwitz_zeta
+    monkeypatch.setattr(dimension_module, "hurwitz_zeta",
+                        lambda *args: sizes.append(np.size(kernel(*args))) or kernel(*args))
+    op.matrix(0.7)
+    assert sizes == [5 * nodes]
 
 
 def basis_oracle(nodes, bw, u):
@@ -1035,6 +1165,8 @@ e2 = t(A(1, 2), nodes=24)
 assert abs(e2.dim - 0.53128050627720514) < 1e-12, e2
 e = t(A(5, 40))
 assert e.bracket_lo < e.dim < e.bracket_hi, e
+e = t(A(1, 10**9), tol=1e-15)  # a finite range whose tail goes through a cut zeta sum
+assert e.bracket_lo < e.dim < e.bracket_hi and abs(e.dim - 0.999999999392073) < 1e-15, e
 g, gu = t(A(1, None)), u(A(1, None), bins=256)
 assert all(e.bracket_lo < e.dim < e.bracket_hi for e in (g, gu)), (g, gu)
 assert abs(g.dim - 1.0) < 1e-9, g
