@@ -25,12 +25,17 @@ Three routes are implemented and cross-checked against each other:
   {3..4000} (12-40 nodes); a head of 64 digits leaves {1..100} 3.1e-15 off.
 * ``ulam_dimension`` repeats the computation on a uniform grid of bins
   (bin-center collocation), purely as an independent oracle.  Digits a with
-  a(a + 1) <= lower * bins take one gather entry per row; the rest land in a
-  head block of ~sqrt(lower * bins) columns.  For an infinite range the head
-  is Hurwitz zeta differences between bin boundaries, which keep the full
-  tail, held as Taylor series in the row's offset from the row centre: J
-  zeta values per column at each s (J from the grid: 10 at N = 2 and 4 at
-  N = 200 on 1024 bins) and no (rows, columns) array.  A finite range
+  a(a + 1) <= lower * bins are gather digits, whose target column moves
+  every ~a^2 rows; the rest land in a head block of ~sqrt(lower * bins)
+  columns.  For an infinite range the head is Hurwitz zeta differences
+  between bin boundaries, which keep the full tail, held as Taylor series
+  in the row's offset from the row centre: J zeta values per column at
+  each s and no (rows, columns) array.  The gather digits from a split A
+  on join it: each one's weight is a Taylor series too, and each step of
+  its column an event in the same cumulative sum.  A minimises (A - N) +
+  J(A), so on 1024 bins {a >= 2} keeps digits 2 and 3 as one gather entry
+  per row (J = 18), and from N = 5 on no digit is (J = 5 at N = 200).  A
+  finite range gathers every gather digit, one entry per row, and
   scatters its head digits into a dense block.  It is a Cantor set, and its
   matrix is built only on its kept bins, those its maps keep reaching from
   the whole domain (at 1024 bins a median 7 % of them over the benchmark's
@@ -334,61 +339,97 @@ class _CollocationOperator:
 # piecewise-constant (Ulam-type) discretization
 # ---------------------------------------------------------------------------
 
-# an infinite head's Taylor series stops where its first omitted term falls
+# an infinite range's Taylor series stop where their first omitted term falls
 # below this share of the value
 _TAYLOR_TOL = 2.0 ** -60
 
 
+def _taylor_order(x, first):
+    """The least J with (max|t| / (first + x0))^J (J + 1)^3 < 2^-60: the
+    Taylor order in the offsets t = x - x0 of the rows x from their centre
+    x0 for terms in digits a >= ``first``."""
+    x0 = 0.5 * (x[0] + x[-1])
+    reach = (x0 - x[0]) / (first + x0)
+    order = 1
+    while reach ** order * (order + 1) ** 3 >= _TAYLOR_TOL:
+        order += 1
+    return order
+
+
+def _first_rows(below, n, rows):
+    """For each of n entries, by bisection, the first row r < ``rows`` at
+    which ``below`` holds (``rows`` if none); ``below`` takes an array of
+    one row per entry, and per entry turns from false to true along the
+    rows."""
+    first, past = np.zeros(n, dtype=np.intp), np.full(n, rows)
+    while (open_ := first < past).any():
+        mid = np.minimum((first + past) // 2, rows - 1)
+        falls = below(mid)
+        past = np.where(open_ & falls, mid, past)
+        first = np.where(open_ & ~falls, mid + 1, first)
+    return first
+
+
 class _UlamMatrix:
-    """An Ulam matrix on the operator's bins: per gather digit a weight in
+    """An Ulam matrix on the operator's bins: per direct digit a weight in
     every row and the runs (column, length) of its target columns, plus a
-    head block on the first columns, a dense array for a finite range and a
-    ``_ZetaHead`` for an infinite one."""
+    head, a dense block on the first columns for a finite range and a
+    ``_ZetaHead`` over every column for an infinite one."""
 
     def __init__(self, runs, wgt, head):
         self.runs, self.wgt, self.head = runs, wgt, head
         self.shape = (head.shape[0], head.shape[0])
 
     def __matmul__(self, v):
-        gathered = np.repeat(v[self.runs[0]], self.runs[1]).reshape(self.wgt.shape)
-        out = np.einsum("ji,ji->i", self.wgt, gathered)
-        if self.head.shape[1]:  # a narrow finite range has none; skip the empty product
-            out += self.head @ v[:self.head.shape[1]]
+        out = self.head @ v[:self.head.shape[1]]  # zeros for a narrow finite range's empty head
+        if len(self.wgt):  # {a >= N} has none from N = 5 on at 1024 bins
+            gathered = np.repeat(v[self.runs[0]], self.runs[1]).reshape(self.wgt.shape)
+            out += np.einsum("ji,ji->i", self.wgt, gathered)
         return out
 
 
 class _ZetaHead:
-    """The head block of {a >= N} at one s, held as Taylor coefficients in the
-    row offset t = x - x0 from the row centre x0, with no (rows, columns)
-    array.
+    """The digits of {a >= N} from the stair split A on, at one s: the head
+    digits a >= head_lo and the gather digits A..head_lo - 1, held as Taylor
+    coefficients in the row offset t = x - x0 from the row centre x0, with
+    no (rows, digits) or (rows, columns) array.
 
-    Column k - 1 is Z_k - Z_{k-1}, where Z_k(x) sums (a + x)^{-2s} over the
-    head digits a >= m_k(x) = max(floor(1/(k w) - x) + 1, head_lo), a zeta
-    value per boundary k (Z_0 = 0).  The rows span less than 1/N <= 1, so
-    m_k is an integer M_k up to a row r_k and M_k - 1 from r_k on, and
+    Head column k - 1 is Z_k - Z_{k-1}, where Z_k(x) sums (a + x)^{-2s} over
+    the head digits a >= m_k(x) = max(floor(1/(k w) - x) + 1, head_lo), a
+    zeta value per boundary k (Z_0 = 0).  The rows span less than 1/N <= 1,
+    so m_k is an integer M_k up to a row r_k and M_k - 1 from r_k on, and
 
-        Z_k(x0 + t) = zeta(2s, M_k + x0 + t) + [row >= r_k] (M_k - 1 + x0 + t)^{-2s}.
+        Z_k(x0 + t) = zeta(2s, M_k + x0 + t) + [row >= r_k] (M_k - 1 + x0 + t)^{-2s}:
 
-    Both terms are Taylor series in t with radius at least head_lo - 1 + x0,
-    and the coefficient of t^j is (-1)^j binom(2s + j - 1, j) times
-    zeta(2s + j, M_k + x0), or (M_k - 1 + x0)^{-2s-j}, a binomial below
-    (j + 1)^3 for 2s <= 4.  So the first ``order`` powers, the least J with
-    (max|t| / (head_lo - 1 + x0))^J (J + 1)^3 < 2^-60, leave out less than
-    2^-60 of each value: J is 10 at N = 2 and 4 at N = 200 on 1024 bins.
-    That bound also scales each order's rounding, so the orders whose zeta
-    values ``hurwitz_zeta`` takes at 2s + j > 12, a little less accurately,
-    add under 1e-16 of the value.
+    at row r_k the switching digit M_k - 1 enters column k - 1 from column
+    k.  A gather digit a weighs (a + x0 + t)^{-2s} in the column the
+    operator's ``_columns`` gives it, which falls every ~a^2 rows: the digit
+    starts in its row-0 column and enters column L from L + 1 at the first
+    row whose column is at most L, found by bisection with that same
+    expression, so every (digit, row) pair keeps its bin.
 
-    M_k, r_k and the powers of t are built once; ``at(s)`` takes J zeta
-    values per boundary, differenced per column at the coefficient level,
-    and the coefficients of the switching digits' terms.  A product sums the
-    coefficient rows against v, adds the switching terms as one cumulative
-    sum over the boundaries ordered by r_k (row i takes those with
-    r_k <= i), and sums the J rows against the powers of t."""
+    Every term is a Taylor series in t with radius at least A + x0
+    (head_lo - 1 + x0 with no gather digits), and the coefficient of t^j is
+    (-1)^j binom(2s + j - 1, j) times zeta(2s + j, M_k + x0), or (a +
+    x0)^{-2s-j} for one digit a, a binomial below (j + 1)^3 for 2s <= 4.
+    So the first ``order`` powers, J = ``_taylor_order`` at A, leave out
+    less than 2^-60 of each value: on 1024 bins J is 18 at N = 2 (A = 4)
+    and 5 at N = 200 (A = 200).  That bound also scales each order's
+    rounding, so the orders whose zeta values ``hurwitz_zeta`` takes at
+    2s + j > 12, a little less accurately, add under 1e-16 of the value.
 
-    def __init__(self, x, w, lo, cols):
-        b = len(x)
-        self.shape = (b, cols)
+    M_k, r_k, the gather digits' row-0 columns and their events (a digit
+    entering column L from L + 1 at a row) and the powers of t are built
+    once; ``at(s)`` takes J zeta values per boundary, differenced per column
+    at the coefficient level, and J coefficients per gather or switching
+    digit.  A product sums the coefficients against v at their row-0
+    columns, adds the events' coefficients times v_L - v_{L+1} as one
+    cumulative sum in row order (row i takes the events at rows <= i), and
+    sums the J rows against the powers of t."""
+
+    def __init__(self, x, w, lo, cols, digits, columns):
+        b, nd = len(x), len(digits)
+        self.shape = (b, b)
         x0 = 0.5 * (x[0] + x[-1])
         inv_kw = 1.0 / (np.arange(1, cols + 1, dtype=float) * w)
 
@@ -397,53 +438,61 @@ class _ZetaHead:
             return np.maximum(np.floor(inv_kw - x[rows]) + 1.0, lo)
 
         m = first_digit(0)
-        # r_k by bisection, as m_k falls with x: rows below first keep M_k,
-        # rows from past on have M_k - 1
-        first, past = np.zeros(cols, dtype=np.intp), np.full(cols, b)
-        while (open_ := first < past).any():
-            mid = np.minimum((first + past) // 2, b - 1)
-            falls = first_digit(mid) < m
-            past = np.where(open_ & falls, mid, past)
-            first = np.where(open_ & ~falls, mid + 1, first)
-        reach = (x0 - x[0]) / (lo - 1.0 + x0)
-        order = 1
-        while reach ** order * (order + 1) ** 3 >= _TAYLOR_TOL:
-            order += 1
+        switch = _first_rows(lambda rows: first_digit(rows) < m, cols, b)
+        # the last boundary is clamped to head_lo at every row, so it never
+        # switches, and each step has a next column
+        steps = np.flatnonzero(switch < b)
+        # each gather digit's row-0 column, and the columns L it enters after
+        # row 0, from the highest down
+        base = columns(digits + x[0])
+        falls = base - columns(digits + x[-1])
+        owner = np.repeat(np.arange(nd), falls)
+        level = base[owner] - 1 - (np.arange(len(owner)) - (np.cumsum(falls) - falls)[owner])
+        entered = _first_rows(lambda rows: columns(digits[owner] + x[rows]) <= level,
+                              len(owner), b)
+        order = _taylor_order(x, digits[0] if nd else lo - 1.0)
         self.j = np.arange(order, dtype=float)
-        self.tpow = (x - x0) ** self.j[:, None]  # (order, rows)
+        # (order, rows), by repeated products, far cheaper than np.power's general powers
+        self.tpow = np.ones((order, b))
+        np.cumprod(np.broadcast_to(x - x0, (order - 1, b)), axis=0, out=self.tpow[1:])
         self.q = m + x0
-        # the boundaries that switch, in the order of their rows r_k; the last
-        # boundary is clamped to head_lo at every row, so it never switches,
-        # and each step has a next column
-        steps = np.flatnonzero(first < b)
-        steps = steps[np.argsort(first[steps], kind="stable")]
-        self.steps, self.step_q = steps, m[steps] - 1.0 + x0
-        # the rows of each stair: row i takes the steps with r_k <= i
-        self.stair_rows = np.diff(first[steps], prepend=0, append=b)
-        self.stair = np.zeros((order, len(steps) + 1))  # column 0: rows before any step
-        self.coef = self.step_coef = None  # refilled at each s
+        self.cols = np.concatenate((np.arange(cols), base))  # a coefficient column each
+        self.coef = np.empty((order, len(self.cols)))  # refilled at each s
+        # the digits with a coefficient per s: the gather digits, then each
+        # boundary's switching digit
+        self.step_q = np.concatenate((digits, m[steps] - 1.0)) + x0
+        # every event in the order of its row: the column it enters and its digit
+        rows = np.concatenate((switch[steps], entered))
+        by_row = np.argsort(rows, kind="stable")
+        self.steps = np.concatenate((steps, level))[by_row]
+        self.step_digit = np.concatenate((nd + np.arange(len(steps)), owner))[by_row]
+        # the rows of each stair: row i takes the events at rows <= i
+        self.stair_rows = np.diff(rows[by_row], prepend=0, append=b)
+        self.stair = np.zeros((order, len(self.steps) + 1))  # column 0: rows before any event
+        self.step_coef = None  # refilled at each s
 
     def at(self, s):
         """The head at s, valid until the next call."""
-        sigma, j = 2.0 * s, self.j
+        sigma, j, cols = 2.0 * s, self.j, len(self.q)
         # (-1)^j binom(2s + j - 1, j)
         binom = np.cumprod(np.concatenate(([1.0], -(sigma + j[:-1]) / j[1:])))[:, None]
-        coef = hurwitz_zeta(sigma + j[:, None], self.q)
-        coef *= binom
-        self.coef = np.diff(coef, axis=1, prepend=0.0)
-        self.step_coef = self.step_q ** -(sigma + j[:, None])
-        self.step_coef *= binom
+        zeta = hurwitz_zeta(sigma + j[:, None], self.q)
+        zeta *= binom
+        self.coef[:, :cols] = np.diff(zeta, axis=1, prepend=0.0)
+        power = self.step_q ** -(sigma + j[:, None])
+        power *= binom
+        self.coef[:, cols:] = power[:, :len(self.cols) - cols]  # the gather digits
+        self.step_coef = power[:, self.step_digit]
         return self
 
     def __matmul__(self, v):
-        # boundary k's step (at steps[i] = k - 1) adds to column k - 1 and
-        # takes from column k
+        # an event entering column L from L + 1 adds to L and takes from L + 1
         u = v[self.steps]
         u -= v[self.steps + 1]
         stair = self.stair
         np.cumsum(self.step_coef * u, axis=1, out=stair[:, 1:])
         stair[:, 0] = 0.0
-        stair += (self.coef @ v)[:, None]
+        stair += (self.coef @ v[self.cols])[:, None]
         return np.einsum("ji,ji->i", np.repeat(stair, self.stair_rows, axis=1), self.tpow)
 
 
@@ -452,9 +501,11 @@ class _UlamOperator:
     gathered, the rest fill the head.  A finite range keeps only the bins its
     maps keep reaching (``_kept_bins``): ``x`` holds their centers and ``pos``
     maps a bin to its place among them; an infinite range keeps every bin and
-    has no ``pos``.  The gather digits' target columns and a + x, and an
-    infinite range's ``_ZetaHead`` geometry, do not depend on s, so they are
-    built once, here; a finite range's dense head is filled at each s."""
+    has no ``pos``, and its gather digits from the stair split on
+    (``_stair_split``) join its ``_ZetaHead``.  The direct digits' target
+    columns and a + x, and an infinite range's ``_ZetaHead`` geometry, do
+    not depend on s, so they are built once, here; a finite range's dense
+    head is filled at each s."""
 
     def __init__(self, alphabet: DigitAlphabet, bins: int):
         if bins < 64:
@@ -478,9 +529,13 @@ class _UlamOperator:
         self.x, self.head_cols = x, head_cols
         # the head: a dense block per s for a finite range, filled at its first
         # evaluation, Taylor coefficients for an infinite one
-        self.head = _ZetaHead(x, self.w, self.head_lo, head_cols) if alphabet.infinite else None
-        # a + x per gather digit (a row each); a digit's column moves every ~a^2 rows
-        self.ax = np.arange(alphabet.lower, top + 1, dtype=float)[:, None] + x
+        self.head, direct_hi = None, top
+        if alphabet.infinite:
+            direct_hi = self._stair_split(x) - 1
+            self.head = _ZetaHead(x, self.w, self.head_lo, head_cols,
+                                  np.arange(direct_hi + 1, top + 1, dtype=float), self._columns)
+        # a + x per direct digit (a row each); a digit's column moves every ~a^2 rows
+        self.ax = np.arange(alphabet.lower, direct_hi + 1, dtype=float)[:, None] + x
         col = self._columns(self.ax).ravel()
         if self.pos is not None:
             # in place (mode "raise" would buffer a copy); every target is a kept bin
@@ -492,6 +547,21 @@ class _UlamOperator:
     def _gather_top(self):
         """The last gather digit: the largest a with a(a + 1) <= lower * bins."""
         return (math.isqrt(4 * self.alphabet.lower * self.bins + 1) - 1) // 2
+
+    def _stair_split(self, x):
+        """The first gather digit A of {a >= N} that joins the Taylor stair:
+        the least A in N..head_lo that minimises (A - N) + J(A), J(A) the
+        Taylor order ``_ZetaHead`` takes from A on, as a direct digit and an
+        order each cost a product about one pass over the rows.  On 1024
+        bins that keeps 2 direct digits at N = 2, 1 at N = 3 and none from
+        N = 5 on."""
+        lo, last = self.alphabet.lower, self.head_lo - 1
+
+        def cost(a):
+            return a - lo + _taylor_order(x, min(a, last))
+
+        # past A = N + cost(N) the direct digits alone cost more
+        return min(range(lo, min(self.head_lo, lo + cost(lo)) + 1), key=cost)
 
     def _columns(self, ax):
         """Target bins min(int(1/((a + x) w)), bins - 1) of a block of a + x."""
@@ -644,8 +714,9 @@ def good_dimension_sweep(n_list, nodes=20, tol=1e-9, ulam_bins=None, threads=1):
     """Rows (N, bracket_lo, bracket_hi, dim_estimate, residual) for the sets
     with all digits >= N, plus ulam_estimate when ``ulam_bins`` is given (its
     root is solved to max(tol, 1e-7)).  The N are solved on ``threads``
-    worker threads; rows come back in the order of ``n_list``."""
-    n_list = [int(n) for n in n_list]
+    worker threads; rows come back in the order of ``n_list``.  Each N is
+    an integer (``operator.index``), kept as a Python int."""
+    n_list = [operator.index(n) for n in n_list]
     if not n_list:
         raise ValueError("empty N list")
     if min(n_list) < 2:

@@ -479,8 +479,9 @@ def test_collocation_cutoff_matches_far_reference(monkeypatch, n, nodes):
                                           (100, 1000)])
 def test_wide_finite_range_matches_all_direct_root(lower, upper, nodes):
     # the digits past the first 128 of a finite range go through the tail
-    # polynomial, summed digit by digit; the root stays within 1e-15 of the
-    # one that sums every digit through its basis values
+    # polynomial, summed over them by one cut hurwitz_zeta call per
+    # evaluation; the root stays within 1e-15 of the one that sums every
+    # digit through its basis values
     alphabet = DigitAlphabet(lower, upper)
     assert transfer_dimension(alphabet, nodes=nodes).dim == pytest.approx(
         oracle_root(alphabet, nodes), abs=1e-15)
@@ -567,8 +568,8 @@ def ulam_direct_oracle(op, s, lo, hi):
 
 
 def ulam_gathered(m):
-    """The gather part of matrix(s) as a bins x bins matrix, its entries
-    added per cell in digit order."""
+    """The direct digits of matrix(s), its per-row gather, as a bins x bins
+    matrix, their entries added per cell in digit order."""
     dense = np.zeros(m.shape)
     rows = np.broadcast_to(np.arange(m.shape[0]), m.wgt.shape)
     cols = np.repeat(*m.runs).reshape(m.wgt.shape)  # (digits, bins) targets
@@ -576,16 +577,22 @@ def ulam_gathered(m):
     return dense
 
 
+def ulam_direct_hi(op):
+    """The operator's last direct digit: head_lo - 1 for a finite range, the
+    digit below the stair split for an infinite one."""
+    return op.alphabet.lower + len(op.ax) - 1
+
+
 def ulam_head(m):
     """The head block of matrix(s): a finite range's array, or an infinite
-    range's head applied to each unit vector."""
+    range's head, its stair digits with it, applied to each unit vector."""
     if isinstance(m.head, np.ndarray):
         return m.head
     return np.column_stack([m.head @ e for e in np.eye(m.head.shape[1])])
 
 
 def ulam_dense(m):
-    """The bins x bins matrix of matrix(s): the gather entries added per cell
+    """The bins x bins matrix of matrix(s): the direct entries added per cell
     in digit order, then the head block."""
     dense = ulam_gathered(m)
     dense[:, :m.head.shape[1]] += ulam_head(m)
@@ -605,11 +612,11 @@ def assert_direct_digits_match_loop(op, s):
     """matrix(s) with the zeta tail switched off holds the direct digits,
     the same terms summed per cell in the same digit order as one digit at a
     time: for a finite range the gather digits and a head scattered digit by
-    digit, for an infinite range the gather digits (its head, Taylor
-    coefficients, is checked against the two-sided oracle)."""
+    digit, for an infinite range the digits below the stair split (its
+    stair, Taylor coefficients, is checked against the two-sided oracle)."""
     m = op.matrix(s)
     if op.alphabet.infinite:
-        ref = ulam_direct_oracle(op, s, op.alphabet.lower, op.head_lo - 1)
+        ref = ulam_direct_oracle(op, s, op.alphabet.lower, ulam_direct_hi(op))
         assert np.array_equal(ulam_gathered(m), ref)
     else:
         assert np.array_equal(ulam_dense(m), ulam_split_oracle(op, s))
@@ -621,10 +628,11 @@ def no_zeta(monkeypatch):
 
 
 @pytest.mark.parametrize("alphabet, bins", [
-    (DigitAlphabet(2, None), 128), (DigitAlphabet(13, None), 256),
+    (DigitAlphabet(2, None), 128), (DigitAlphabet(1, None), 256),
     (DigitAlphabet(1, 61), 256), (DigitAlphabet(3, 40), 128)])
 def test_ulam_direct_digits_match_loop(no_zeta, alphabet, bins):
-    # the finite ranges here pass the split, so they have a head
+    # the finite ranges here pass the split, so they have a head; {a >= 2}
+    # and {a >= 1} keep 2 and 5 digits below their stair splits
     op = _UlamOperator(alphabet, bins)
     assert len(op.ax) > 0 and op.head_cols > 0
     for s in (-0.5, 0.6, 0.95):
@@ -635,11 +643,11 @@ def test_ulam_direct_digits_match_loop(no_zeta, alphabet, bins):
 
 def test_ulam_direct_digits_match_loop_across_blocks(no_zeta, monkeypatch):
     # blocks of one digit: every head cell of the finite range is summed
-    # over several blocks
+    # over several blocks; {a >= 2} keeps its 2 direct digits
     monkeypatch.setattr(dimension_module, "_SCATTER_BLOCK", 1)
-    for alphabet in (DigitAlphabet(5, None), DigitAlphabet(2, 30)):
+    for alphabet in (DigitAlphabet(2, None), DigitAlphabet(2, 30)):
         op = _UlamOperator(alphabet, 128)
-        assert op.head_cols > 0
+        assert op.head_cols > 0 and len(op.ax) > 0
         assert_direct_digits_match_loop(op, 0.8)
 
 
@@ -710,25 +718,44 @@ def ulam_zeta_oracle(op, s, zeta_lo, hurwitz_zeta=None):
 @pytest.mark.parametrize("lower", [2, 13, 200])
 @pytest.mark.parametrize("bins", [128, 1024])
 def test_ulam_tail_matches_two_sided_oracle(lower, bins):
-    # the Taylor head matches the cells summed by two scipy zeta values per
-    # cell, and every tail digit lands in the head's columns: per row, the
-    # largest error is at most 1.1e-15 of the row's sum over these cases
-    # (measured); the gather part is the one-digit-at-a-time sum, bit for bit
+    # the whole infinite matrix, direct digits plus Taylor stair, against the
+    # gather digits one at a time and the head digits summed per cell by two
+    # scipy zeta values: every head digit lands in the head's columns, and
+    # per row the largest error is at most 9.3e-16 of the row's sum over
+    # these cases (measured); the digits below the stair split are the
+    # one-digit-at-a-time sum, bit for bit
     op = _UlamOperator(DigitAlphabet(lower, None), bins)
     for s in (0.55, 0.7, 0.95):
         m = op.matrix(s)
-        assert np.array_equal(ulam_gathered(m), ulam_direct_oracle(op, s, lower, op.head_lo - 1))
-        ref = ulam_zeta_oracle(op, s, op.head_lo, hurwitz_zeta)
-        assert not ref[:, op.head_cols:].any()
-        err = np.abs(ulam_head(m) - ref[:, :op.head_cols]).max(axis=1)
+        assert np.array_equal(ulam_gathered(m),
+                              ulam_direct_oracle(op, s, lower, ulam_direct_hi(op)))
+        zeta_part = ulam_zeta_oracle(op, s, op.head_lo, hurwitz_zeta)
+        assert not zeta_part[:, op.head_cols:].any()
+        ref = ulam_direct_oracle(op, s, lower, op.head_lo - 1) + zeta_part
+        err = np.abs(ulam_dense(m) - ref).max(axis=1)
         assert np.all(err <= 4e-15 * ref.sum(axis=1))
 
 
-@pytest.mark.parametrize("lower, bins", [(2, 128), (200, 1024)])
+def taylor_order(op, first):
+    """The least J with (max|t| / (first + x0))^J (J + 1)^3 < 2^-60, x0 the
+    domain's centre."""
+    x0 = 0.5 * op.alphabet.domain
+    reach = (x0 - op.x[0]) / (first + x0)
+    return next(j for j in range(1, 100) if reach ** j * (j + 1) ** 3 < 2.0 ** -60)
+
+
+# (N, bins): the stair split A and the Taylor order J
+_STAIR_PINS = {(2, 128): (4, 18), (2, 1024): (4, 18), (3, 1024): (4, 16), (5, 1024): (5, 13),
+               (200, 1024): (200, 5)}
+
+
+@pytest.mark.parametrize("lower, bins", list(_STAIR_PINS))
 def test_ulam_tail_one_zeta_value_per_boundary(monkeypatch, lower, bins):
     # one call per evaluation, of J zeta values per head column and none per
-    # row, J the least order with (max|t| / (head_lo - 1 + x0))^J (J + 1)^3
-    # < 2^-60: 12 at N = 2 on 128 bins, 4 at N = 200 on 1024
+    # row or per stair digit.  The stair split A is the least A in
+    # N..head_lo minimising (A - N) + J(A), J(A) the least order with
+    # (max|t| / (A + x0))^J (J + 1)^3 < 2^-60 (head_lo - 1 + x0 for A =
+    # head_lo), which is at least the head's own order
     sizes = []
 
     def counting(s2, q):
@@ -737,13 +764,34 @@ def test_ulam_tail_one_zeta_value_per_boundary(monkeypatch, lower, bins):
 
     monkeypatch.setattr(dimension_module, "hurwitz_zeta", counting)
     op = _UlamOperator(DigitAlphabet(lower, None), bins)
-    head_cols = op.matrix(0.7).head.shape[1]
-    assert head_cols == min(int(1.0 / (op.head_lo * op.w)) + 2, bins)
-    order = len(op.head.j)
-    assert order == {2: 12, 200: 4}[lower]
-    reach = (0.5 * op.alphabet.domain - op.x[0]) / (op.head_lo - 1 + 0.5 * op.alphabet.domain)
-    assert reach ** order * (order + 1) ** 3 < 2.0 ** -60 <= reach ** (order - 1) * order ** 3
-    assert sizes == [order * head_cols]
+    op.matrix(0.7)
+    assert op.head_cols == min(int(1.0 / (op.head_lo * op.w)) + 2, bins)
+    split, order = _STAIR_PINS[lower, bins]
+    assert ulam_direct_hi(op) + 1 == split and len(op.head.j) == order
+    costs = {a: a - lower + taylor_order(op, min(a, op.head_lo - 1))
+             for a in range(lower, op.head_lo + 1)}
+    assert split == min(costs, key=costs.get)
+    assert order == taylor_order(op, split) >= taylor_order(op, op.head_lo - 1)
+    assert sizes == [order * op.head_cols]
+
+
+def test_ulam_stair_holds_no_digits_by_bins_array():
+    # {a >= 200} on 1024 bins puts all 253 gather digits in the stair: after
+    # an evaluation and a product the operator and its stair hold 89 KB, not
+    # the 4.1 MB of a + x and weights per (digit, bin), and the build,
+    # evaluation and product peak at 0.17 MB
+    tracemalloc.start()
+    try:
+        op = _UlamOperator(DigitAlphabet(200, None), 1024)
+        op.matrix(0.7) @ np.ones(1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(op.ax) == 0 and len(op.head.cols) - op.head_cols == 253
+    held = sum(a.nbytes for part in (op, op.head) for v in vars(part).values()
+               for a in (v if isinstance(v, tuple) else (v,)) if isinstance(a, np.ndarray))
+    assert held < 100e3
+    assert peak < 0.5e6
 
 
 @pytest.mark.parametrize("alphabet", [DigitAlphabet(2, None), DigitAlphabet(1, 200)])
@@ -1219,6 +1267,17 @@ def test_good_dimension_sweep_threads_and_ulam_column():
     assert [r[0] for r in rows] == [2, 5]
     for r in rows:
         assert abs(r[3] - r[5]) < 1e-3  # coarse bins, loose check
+
+
+def test_good_dimension_sweep_takes_integer_n_only():
+    # a float N is refused, not floored to a neighbouring set; numpy integers
+    # give the rows of Python ints, N included
+    with pytest.raises(TypeError):
+        good_dimension_sweep([2.5], nodes=12, tol=1e-7)
+    kwargs = dict(nodes=12, tol=1e-7, ulam_bins=128)
+    rows = good_dimension_sweep([np.int64(2), np.int32(5)], **kwargs)
+    assert rows == good_dimension_sweep([2, 5], **kwargs)
+    assert [type(r[0]) for r in rows] == [int, int]
 
 
 def test_good_dimension_sweep_checks_every_n_before_solving(monkeypatch):
