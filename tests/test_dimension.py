@@ -851,8 +851,10 @@ def test_ulam_memory_does_not_grow_with_n():
         held = sum(v.nbytes for part in (op, op.head) for v in vars(part).values()
                    if isinstance(v, np.ndarray))
         assert held <= 12 * 8 * 4096
-    # an assembly with 11,000 direct digits (183 MB of pairs) stays within a
-    # few dense matrices
+    # at 1024 bins the last gather digit of N = 20,000 is 4524 < N, so the
+    # operator is all head: its build and an evaluation stay within a few
+    # dense matrices (the gather digits' case is
+    # test_ulam_stair_holds_no_digits_by_bins_array)
     bins = 1024
     tracemalloc.start()
     try:
