@@ -26,15 +26,17 @@ above height 1 and every needed quantity is an O(1) ratio:
 The ratios are floats: r_n = q_{n-1}/q_n follows the recurrence
 r_n = 1/(a_n + r_{n-1}), r_0 = 0, which contracts errors by r_n^2 per step;
 c_n = p_n/q_n is one big-integer division per step until p_n reaches 2^64,
-after which its rounded value no longer changes; log q_n is the log of a big
-integer, which costs O(1).  No step squares or divides big integers beyond
-that, so a trace costs the big-integer recurrence for p_n and q_n (kept for
-the records; it lives in ``contfrac.convergent_pairs``) plus O(1) float work
-per excursion.  Complete quotients come from backward evaluation in floats,
-where a digit beyond float range gives inf, and a complete quotient x beyond
-2^500 enters only through its log: the crossings are A_n + 1/x and x, the
-depth log x - log 2 and the exit distance 2 log x - log Y_n, all to double
-precision.
+after which its rounded value no longer changes, so the exact recurrence for
+p_n and q_n stops there.  log q_n = sum_k log(a_k + r_{k-1}) is a compensated
+(Neumaier) float sum, with log a_k for a digit beyond float range.  A trace
+therefore costs O(1) float work per excursion at any horizon, whatever the
+size of q_n.  The records' exact p_n and q_n come from one
+``contfrac.convergent_pairs`` pass that runs on first access and is shared by
+the records of the trace.  Complete quotients come from backward evaluation
+in floats, where a digit beyond float range gives inf, and a complete
+quotient x beyond 2^500 enters only through its log: the crossings are
+A_n + 1/x and x, the depth log x - log 2 and the exit distance
+2 log x - log Y_n, all to double precision.
 
 Depths can be formally non-positive (the ray misses the convergent's ball,
 possible whenever the governing digit is 1); such balls are recorded as
@@ -44,7 +46,7 @@ skipped and excluded from times and gaps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 
 from .contfrac import _FLOAT_MAX, ContinuedFraction, complete_quotients, convergent_pairs
@@ -60,18 +62,37 @@ _LOG2 = math.log(2.0)
 _RATIO_SETTLED = 1 << 64
 
 
+class _ConvergentPairs:
+    """Exact (p_n, q_n), n = 1..len(digits), served by one
+    ``convergent_pairs`` pass on first access.  The records of one trace
+    share an instance; a pickle keeps only the digits."""
+
+    __slots__ = ("digits", "_pairs")
+
+    def __init__(self, digits):
+        self.digits = digits
+        self._pairs = None
+
+    def __getitem__(self, n):
+        if self._pairs is None:
+            self._pairs = list(convergent_pairs(self.digits))
+        return self._pairs[n - 1]
+
+    def __reduce__(self):
+        return type(self), (self.digits,)
+
+
 @dataclass(slots=True)
 class ExcursionRecord:
     """Bookkeeping for the excursion at the n-th convergent (1-based).
 
     The trace that builds a record fills its ``gap_to_next``; callers treat
     records as read-only and take a modified copy with
-    ``dataclasses.replace``.
+    ``dataclasses.replace``.  ``p`` and ``q`` are the exact convergent
+    p_n/q_n, computed on first access; None for a synthesized record.
     """
 
     index: int
-    p: int | None
-    q: int | None
     digit: int | None         # governing digit a_{n+1}
     depth: float              # formal penetration depth; <= 0 means skipped
     entered: bool
@@ -79,6 +100,15 @@ class ExcursionRecord:
     exit_dist: float | None
     time: float | None        # t_n = entry_dist + depth
     gap_to_next: float | None = None  # travel to the next entered ball
+    pairs: _ConvergentPairs | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def p(self):
+        return None if self.pairs is None else self.pairs[self.index][0]
+
+    @property
+    def q(self):
+        return None if self.pairs is None else self.pairs[self.index][1]
 
 
 @dataclass
@@ -142,23 +172,43 @@ def excursion_trace(cf: ContinuedFraction, horizon: int) -> ExcursionTrace:
 
 def _excursion_records(ds, quot, xi, horizon):
     """ExcursionRecords for n = 1..horizon, gaps not yet linked."""
+    pairs = _ConvergentPairs(ds[:horizon])
     cn, r = 0.0, 0.0        # p_0/q_0, q_{-1}/q_0
-    settled = False         # p_{n-1} >= 2^64
-    for n, (a, (p_cur, q_cur)) in enumerate(zip(ds[:horizon], convergent_pairs(ds)), 1):
-        cnm = cn
-        if not settled:
-            cn = p_cur / q_cur
-            settled = p_cur >= _RATIO_SETTLED
-        # q_{n-1}/q_n; below 2^-1024 after a digit beyond float range
-        r = 1.0 / (a + r) if a <= _FLOAT_MAX else 0.0
-        A = -r * (1.0 + xi * cnm) / (1.0 + xi * cn)
+    log_q, comp = 0.0, 0.0  # Neumaier sum of log q_n and its compensation
+    p_prev, p_cur, q_prev, q_cur = 1, 0, 0, 1  # exact until p_n >= 2^64
+    # the c-dependent factors of A_n and X_n, and log1p(c_n^2); fixed once
+    # c_n has settled
+    ua = ub = wa = wb = 1.0
+    log1p_c = 0.0
+    for n, a in enumerate(pairs.digits, 1):
+        if p_cur < _RATIO_SETTLED:
+            p_prev, p_cur = p_cur, a * p_cur + p_prev
+            q_prev, q_cur = q_cur, a * q_cur + q_prev
+            cnm, cn = cn, p_cur / q_cur
+            ua, ub = ub, 1.0 + xi * cn
+            wa, wb = 1.0 + cn * cnm, 1.0 + cn * cn
+            log1p_c = math.log1p(cn * cn)
+        else:
+            ua, wa = ub, wb  # c_{n-1} = c_n from here on
+        # q_n = q_{n-1} (a_n + r_{n-1}); r_n = q_{n-1}/q_n, below 2^-1024
+        # after a digit beyond float range
+        if a <= _FLOAT_MAX:
+            x = a + r
+            r = 1.0 / x
+            term = math.log(x)
+        else:
+            r = 0.0
+            term = math.log(a)
+        total = log_q + term  # both terms are >= 0
+        comp += (log_q - total) + term if log_q >= term else (term - total) + log_q
+        log_q = total
+        A = -r * ua / ub
         B = quot[n]
         if B < _HUGE_QUOTIENT:
             R = 0.5 * (B - A)
             depth = math.log(R)
             if R <= 1.0:
-                yield ExcursionRecord(n, p_cur, q_cur, ds[n], depth,
-                                      False, None, None, None)
+                yield ExcursionRecord(n, ds[n], depth, False, None, None, None, None, pairs)
                 continue
             m = 0.5 * (A + B)
             s = math.sqrt((R - 1.0) * (R + 1.0))
@@ -172,15 +222,16 @@ def _excursion_records(ds, quot, xi, horizon):
             depth = log_b - _LOG2
             entry_x = A + 1.0 / B
             exit_x = None
-        X = -r * (1.0 + cn * cnm) / (1.0 + cn * cn)
-        log_y = -(2.0 * math.log(q_cur) + math.log1p(cn * cn))
+        X = -r * wa / wb
+        log_y = -(2.0 * (log_q + comp) + log1p_c)
         entry_dist = _dist_to_unit_height(X - entry_x, log_y)
         if exit_x is None:
             exit_dist = 2.0 * log_b - log_y
         else:
             exit_dist = _dist_to_unit_height(X - exit_x, log_y)
-        yield ExcursionRecord(n, p_cur, q_cur, ds[n], depth, True,
-                              entry_dist, exit_dist, entry_dist + depth)
+        # pairs passed by position: a keyword makes the call build a dict
+        yield ExcursionRecord(n, ds[n], depth, True, entry_dist, exit_dist,
+                              entry_dist + depth, None, pairs)
 
 
 def _link_gaps(records):
@@ -216,7 +267,7 @@ def synthesize_trace(depths, gap=0.25, initial=1.0) -> ExcursionTrace:
     pos = float(initial)
     for k, d in enumerate(depths):
         chord = chord_length(d)
-        records.append(ExcursionRecord(k + 1, None, None, None, d, True,
+        records.append(ExcursionRecord(k + 1, None, d, True,
                                        pos, pos + chord, pos + d))
         pos += chord + gaps[k]
     _link_gaps(records)

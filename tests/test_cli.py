@@ -386,7 +386,7 @@ README_OUTPUT_SHA256 = {
     ("cf", "sqrt:2-1/1", "--n", "12"): {
         "cf.csv": "b0cacc160a4039c7eafd60beed5b0a3abde12899b2f34da9a89477f57989b8d3"},
     ("excursions", "(2)", "--horizon", "40", "--tau", "1", "--kappa", "5"): {
-        "excursions.csv": "25900a266ca7ba0f8630cede7f94153b5b891943dfb531939b328b189da66704"},
+        "excursions.csv": "c4c487a63ac9d058758b39f18e5e2bf8e7e3ec849f967840cfc0ed710babb66a"},
     ("dim-seq", "loggeom:alpha=2,base=2", "--n-max", "30"): {
         "dim_seq.csv": "b3c5ce02d4d3fe98d5ac6e37be32fe5d5080f32fa6541483f04ef1fd474184ea"},
     ("spectrum", "0.75", "--grid", "201", "--svg"): {

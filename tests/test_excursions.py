@@ -2,13 +2,15 @@ import dataclasses
 import math
 import pickle
 import random
+import tracemalloc
+from collections import deque
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
 import cusplab as cl
-from cusplab.contfrac import ContinuedFraction, convergents
+from cusplab.contfrac import ContinuedFraction, convergent_pairs, convergents
 from cusplab.excursions import (
     ExcursionRecord,
     excursion_trace,
@@ -474,6 +476,87 @@ def test_oracle_streams_reach_huge_quotients():
     huge = [max(digits[1:horizon + 1]) for k, (digits, horizon)
             in enumerate(_oracle_streams(60, 31)) if k % 3 == 2]
     assert max(huge) > 2 ** 900 and min(huge) < 2 ** 500
+
+
+# -- closed geodesics and long horizons ----------------------------------------
+
+def closed_geodesic_length(word):
+    """l_w = 2 log lambda_w, lambda_w the larger |eigenvalue| of the integer
+    product of [[a, 1], [1, 0]] over the word: the length of the closed
+    geodesic that the periodic word codes."""
+    m00, m01, m10, m11 = 1, 0, 0, 1
+    for a in word:
+        m00, m01, m10, m11 = m00 * a + m01, m00, m10 * a + m11, m10
+    trace, det = m00 + m11, (-1) ** len(word)
+    return 2.0 * math.log((trace + math.sqrt(trace * trace - 4 * det)) / 2.0)
+
+
+CLOSED_WORDS = [(1,), (2,), (1, 2), (3, 1, 4), (1, 1, 5), (7, 2, 9, 1), (1, 10, 100)]
+
+
+@pytest.mark.parametrize("word, horizon", [
+    pytest.param(word, horizon, id=f"{','.join(map(str, word))}-h{horizon}")
+    for word, horizon in [*((word, 1000) for word in CLOSED_WORDS),
+                          ((1,), 100_000), ((1, 2), 100_000), ((3, 1, 4), 100_000)]])
+def test_closed_geodesic_period_times(word, horizon):
+    # the ray to [0; w, w, ...] shadows the closed geodesic of w, so over the
+    # k = len(w) excursions of one period its time grows by l_w (at horizon
+    # 10^5, t_n reaches 2e5, whose ulp is 3e-11)
+    k = len(word)
+    ell = closed_geodesic_length(word)
+    recs = excursion_trace(ContinuedFraction.from_periodic((), word), horizon).records
+    steps = []
+    for rec, later in zip(recs[-51 * k:-k], recs[-50 * k:]):
+        assert later.index == rec.index + k and later.entered == rec.entered
+        if rec.entered:
+            steps.append(later.time - rec.time)
+    assert len(steps) >= 50
+    assert max(abs(step - ell) for step in steps) <= 1e-10
+    # m periods on from the 100th, the time has grown by m l_w to rounding;
+    # summing log q_n without compensation drifts by up to 2.7e-14 relative
+    # at horizon 10^3 and 1.8e-12 at 10^5
+    base = recs[100 * k:101 * k]
+    for rec in recs[-50 * k:]:
+        start = base[(rec.index - base[0].index) % k]
+        if rec.entered:
+            periods = (rec.index - start.index) // k
+            assert abs(rec.time - start.time - periods * ell) <= 2e-15 * rec.time
+
+
+def test_trace_memory_flat_and_convergents_lazy():
+    # log-uniform digits in [1, 10^4] take q_n past 10^5 bits by horizon
+    # 2*10^4, and a trace that kept every p_n and q_n peaked at 357 MB; the
+    # trace holds floats, and the exact convergents come from one pass, run
+    # when a record's p or q is first read
+    rng = random.Random(40)
+    horizon = 20_000
+    digits = [round(10.0 ** (4.0 * rng.random())) for _ in range(horizon + 44)]
+    cf = ContinuedFraction(digits)
+    tracemalloc.start()
+    try:
+        tr = excursion_trace(cf, horizon)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+    # the last pair of the stream that convergents() lists; a list of all
+    # 2*10^4 would hold another copy of every p_n and q_n
+    last_p, last_q = deque(convergent_pairs(cf.digits(horizon)), maxlen=1)[0]
+    assert tr.records[-1].q == last_q and tr.records[-1].p == last_p
+    del tr
+
+    # copies share the pass; a pickle carries the digits, not the pairs
+    tr = excursion_trace(cf, 300)
+    want = [(c.p, c.q) for c in convergents(cf, 300)]
+    size = len(pickle.dumps(tr))
+    assert [(r.p, r.q) for r in tr.records] == want
+    assert len(pickle.dumps(tr)) == size
+    loaded = pickle.loads(pickle.dumps(tr))
+    assert len({id(r.pairs) for r in loaded.records}) == 1
+    for trace in (tr, loaded):
+        moved = [dataclasses.replace(r, depth=0.0) for r in trace.records]
+        assert [(r.p, r.q) for r in moved] == want
+    assert all(r.p is r.q is None for r in synthesize_trace([1.0, 2.0]).records)
 
 
 def synthesize_oracle(depths, gaps, initial):
