@@ -555,6 +555,7 @@ def test_trace_memory_flat_and_convergents_lazy():
     assert len({id(r.pairs) for r in loaded.records}) == 1
     for trace in (tr, loaded):
         moved = [dataclasses.replace(r, depth=0.0) for r in trace.records]
+        assert all(r.pairs is trace.records[0].pairs for r in moved)
         assert [(r.p, r.q) for r in moved] == want
     assert all(r.p is r.q is None for r in synthesize_trace([1.0, 2.0]).records)
 
